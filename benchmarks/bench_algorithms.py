@@ -21,11 +21,11 @@ import pytest
 from repro.analysis import render_table
 from repro.core import (
     solve_dp_basic,
-    solve_dp_basic_vectorized,
     solve_dp_optimized,
     solve_heuristic,
     solve_lp_rational,
 )
+from repro.verify.references import solve_dp_basic_vectorized
 from repro.workloads import PAPER_RAY_COUNT, table1_problem
 
 LADDER = [100, 200, 400, 800]

@@ -45,12 +45,11 @@ import pytest
 
 from repro.core import (
     CostTableCache,
-    solve_dp_basic_vectorized,
     solve_dp_fast,
-    solve_dp_monotone,
     solve_dp_optimized,
     solve_heuristic,
 )
+from repro.verify.references import solve_dp_basic_vectorized, solve_dp_monotone
 from repro.workloads import random_affine_problem
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -55,7 +55,6 @@ from .core import (
     solve_closed_form,
     solve_dp_basic,
     solve_dp_fast,
-    solve_dp_monotone,
     solve_dp_optimized,
     solve_heuristic,
     solve_rational,
@@ -90,7 +89,6 @@ __all__ = [
     "solve_closed_form",
     "solve_dp_basic",
     "solve_dp_fast",
-    "solve_dp_monotone",
     "solve_dp_optimized",
     "solve_heuristic",
     "solve_rational",

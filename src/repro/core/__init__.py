@@ -8,8 +8,9 @@ Public surface:
 * problem statement — :class:`Processor`, :class:`ScatterProblem`,
   :class:`DistributionResult` (Eq. 1–2 evaluation);
 * solvers — :func:`solve_dp_basic` (Algorithm 1), :func:`solve_dp_optimized`
-  (Algorithm 2), :func:`solve_closed_form` (§4 Theorems 1–2),
-  :func:`solve_heuristic` (§3.3 LP heuristic), :func:`plan_scatter` facade;
+  (Algorithm 2), :func:`solve_dp_fast` (Algorithm 2, vectorized),
+  :func:`solve_closed_form` (§4 Theorems 1–2), :func:`solve_heuristic`
+  (§3.3 LP heuristic), :func:`plan_scatter` facade and its :func:`route`;
 * policies — :func:`apply_policy` / Theorem 3 ordering,
   :func:`choose_root` (§3.4), rounding schemes (§3.3).
 """
@@ -35,6 +36,7 @@ from .costs import (
     TabulatedCost,
     ZeroCost,
     as_fraction,
+    cost_fingerprint,
     cost_tables,
     fit_affine,
     fit_linear,
@@ -46,8 +48,8 @@ from .distribution import (
     ScatterProblem,
     uniform_counts,
 )
-from .dp_basic import solve_dp_basic, solve_dp_basic_vectorized
-from .dp_fast import solve_dp_fast, solve_dp_monotone
+from .dp_basic import solve_dp_basic
+from .dp_fast import solve_dp_fast
 from .dp_optimized import solve_dp_optimized
 from .heuristic import (
     guarantee_gap,
@@ -79,8 +81,8 @@ from .weighted import (
     solve_weighted_heuristic,
 )
 from .rounding import check_rounding, round_largest_remainder, round_paper
-from .shared_cache import SharedCostTableCache, stable_cost_key
-from .solver import ALGORITHMS, TOPOLOGIES, plan_scatter
+from .shared_cache import SharedCostTableCache
+from .solver import ALGORITHMS, EXACT_THRESHOLD, TOPOLOGIES, plan_scatter, route
 from .incremental import IncrementalPlanner
 from .trees import (
     TREE_CONSTRUCTIONS,
@@ -115,7 +117,7 @@ __all__ = [
     "get_default_cost_cache",
     "set_default_cost_cache",
     "SharedCostTableCache",
-    "stable_cost_key",
+    "cost_fingerprint",
     "cost_tables",
     "fit_linear",
     "fit_affine",
@@ -128,16 +130,16 @@ __all__ = [
     "uniform_counts",
     # solvers
     "solve_dp_basic",
-    "solve_dp_basic_vectorized",
     "solve_dp_optimized",
     "solve_dp_fast",
-    "solve_dp_monotone",
     "solve_closed_form",
     "solve_rational",
     "solve_heuristic",
     "solve_lp_rational",
     "plan_scatter",
+    "route",
     "ALGORITHMS",
+    "EXACT_THRESHOLD",
     "TOPOLOGIES",
     "IncrementalPlanner",
     # scatter trees

@@ -29,6 +29,7 @@ exact simplex backend consume.  Float evaluation goes through
 
 from __future__ import annotations
 
+import hashlib
 import math
 import threading
 from collections import OrderedDict
@@ -51,6 +52,7 @@ __all__ = [
     "TabulatedCost",
     "PiecewiseLinearCost",
     "CallableCost",
+    "cost_fingerprint",
     "scale_cost",
     "CostTableCache",
     "DEFAULT_COST_CACHE",
@@ -480,6 +482,50 @@ class CallableCost(CostFunction):
 
     def __repr__(self) -> str:
         return f"CallableCost({self._name})"
+
+
+def cost_fingerprint(fn: CostFunction) -> Optional[str]:
+    """Exact canonical value key of one cost function, or ``None``.
+
+    The one cost identity of the package: the plan cache keys requests by
+    it and the shared-memory table tier names its segments by it.
+
+    * Coefficients key by their exact :class:`~fractions.Fraction` value
+      (``"lin:1/2"``), so the key is stable across processes and Python
+      versions: ``LinearCost(Fraction(1, 2))`` and ``LinearCost(0.5)``
+      collide, ``LinearCost(Fraction(1, 10))`` and ``LinearCost(0.1)`` do
+      not.
+    * Degenerate analytic forms collapse: ``AffineCost(a, 0)`` keys as
+      ``LinearCost(a)``, any zero-rate linear/affine form keys as
+      :class:`ZeroCost`, and ``zero_is_free`` enters the key only when the
+      intercept is non-zero (it is unobservable otherwise).  These forms
+      agree in exact *and* float semantics and route alike.
+    * Tabulated and piecewise costs keep their kind, keyed by their exact
+      values, even when those trace a line: their routing differs from
+      the analytic classes'.
+    * :class:`CallableCost` (and any other class) wraps arbitrary Python
+      with no value identity: ``None``.
+    """
+    kind = type(fn)
+    if kind is ZeroCost:
+        return "zero"
+    if kind is LinearCost:
+        if fn.rate == 0:
+            return "zero"
+        return f"lin:{fn.rate}"
+    if kind is AffineCost:
+        if fn.intercept == 0:
+            if fn.rate == 0:
+                return "zero"
+            return f"lin:{fn.rate}"
+        return f"aff:{fn.rate}:{fn.intercept}:{int(fn.zero_is_free)}"
+    if kind is TabulatedCost:
+        body = ";".join(str(v) for v in fn._values)
+        return "tab:" + hashlib.sha1(body.encode()).hexdigest()
+    if kind is PiecewiseLinearCost:
+        body = ";".join(f"{x},{t}" for x, t in zip(fn._xs, fn._ts))
+        return "pwl:" + hashlib.sha1(body.encode()).hexdigest()
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -12,17 +12,11 @@ the cost functions are non-negative and null at 0, so this solver accepts
 *any* :class:`~repro.core.costs.CostFunction` — including tabulated
 measurements with cache cliffs.
 
-Complexity is ``O(p · n²)`` time and ``O(p · n)`` memory.  Two backends are
-provided:
-
-* :func:`solve_dp_basic` — a faithful transcription of the paper's pseudo
-  code (optionally in exact rational arithmetic);
-* :func:`solve_dp_basic_vectorized` — the same recurrence with the inner
-  ``e``-loop expressed as a NumPy reduction, roughly two orders of magnitude
-  faster in practice while remaining ``O(p · n²)`` arithmetic operations.
-
-Both return bit-identical makespans (the vectorized form breaks cost ties
-differently, which can change the *counts* but never the optimum value).
+Complexity is ``O(p · n²)`` time and ``O(p · n)`` memory.
+:func:`solve_dp_basic` is a faithful transcription of the paper's pseudo
+code (optionally in exact rational arithmetic).  The NumPy-reduction variant
+of the same recurrence lives in :mod:`repro.verify.references` as a
+cross-check.
 """
 
 from __future__ import annotations
@@ -36,7 +30,7 @@ from ..obs.profiler import stage_profile
 from .costs import CostTableCache, cost_tables, get_default_cost_cache
 from .distribution import DistributionResult, ScatterProblem
 
-__all__ = ["solve_dp_basic", "solve_dp_basic_vectorized"]
+__all__ = ["solve_dp_basic"]
 
 
 def _reconstruct(choice: List[np.ndarray], n: int, p: int) -> Tuple[int, ...]:
@@ -137,54 +131,3 @@ def solve_dp_basic(
         info=info,
     )
 
-
-def solve_dp_basic_vectorized(
-    problem: ScatterProblem, *, cache: Optional[CostTableCache] = None
-) -> DistributionResult:
-    """Algorithm 1 with the inner minimization as a NumPy reduction.
-
-    For each remaining-items count ``d`` the candidate costs over
-    ``e = 0..d`` are computed in one vector expression::
-
-        m[e] = comm_i[e] + maximum(comp_i[e], prev[d - e])
-
-    then reduced with ``argmin``.  Same asymptotic complexity as the scalar
-    version, but each inner loop is a few fused array operations.
-    """
-    p, n = problem.p, problem.n
-    procs = problem.processors
-    prof = stage_profile()
-    with prof.stage("cost_tables"):
-        comm, comp = cost_tables(procs, n, cache=cache)
-
-    prev = comm[p - 1] + comp[p - 1]  # base row: the root alone
-    choice: List[np.ndarray] = [np.zeros(n + 1, dtype=np.int64) for _ in range(p - 1)]
-
-    with prof.stage("dp_rows"):
-        for i in range(p - 2, -1, -1):
-            comm_i, comp_i = comm[i], comp[i]
-            cur = np.empty(n + 1, dtype=float)
-            cur[0] = prev[0]
-            ch = choice[i]
-            for d in range(1, n + 1):
-                # prev[d - e] for e = 0..d is prev[d::-1]
-                m = comm_i[: d + 1] + np.maximum(comp_i[: d + 1], prev[d::-1])
-                e = int(np.argmin(m))
-                ch[d] = e
-                cur[d] = m[e]
-            prev = cur
-
-    with prof.stage("reconstruct"):
-        counts = _reconstruct(choice, n, p)
-    prof.note(table_entries=2 * p * (n + 1))
-    info: dict = {}
-    profile = prof.as_info()
-    if profile is not None:
-        info["profile"] = profile
-    return DistributionResult(
-        problem=problem,
-        counts=counts,
-        makespan=float(prev[n]),
-        algorithm="dp-basic-vectorized",
-        info=info,
-    )

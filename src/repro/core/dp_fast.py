@@ -1,15 +1,15 @@
-"""Fast exact kernels for Algorithm 2's recurrence (the solver backbone).
+"""Fast exact kernel for Algorithm 2's recurrence (the solver backbone).
 
-Both kernels in this module solve the same problem as
+:func:`solve_dp_fast` solves the same problem as
 :func:`repro.core.dp_optimized.solve_dp_optimized` — the paper's Algorithm 2
 recurrence for *increasing* cost functions —
 
     cost[d, i] = min_{0 <= e <= d}  Tcomm(i, e)
                  + max( Tcomp(i, e), cost[d - e, i + 1] )
 
-but replace its per-``d`` interpreted Python loops with array-level work.
-They return the same optimal makespan (up to float associativity; counts may
-break ties differently, exactly like the vectorized Algorithm 1 variant).
+but replaces its per-``d`` interpreted Python loops with array-level work.
+It returns the same optimal makespan (up to float associativity; counts may
+break ties differently).
 
 Structure exploited
 -------------------
@@ -42,13 +42,13 @@ window minimum of ``Tcomm(i, d - m) + cost[m, i + 1]`` equals
 in amortized O(n): the monotone left ends cut ``[0, n]`` into disjoint
 segments, each answered with one suffix-minimum scan plus one prefix-minimum
 scan — the O(p·n) specialization of the divide-and-conquer/monotone-argmin
-idea (``dp-monotone`` keeps the explicit O(n log n) divide-and-conquer
-recursion as an independent cross-check).  A sparse-table range-min
-(:func:`_window_argmin`) remains as the fallback for adversarial staircases
-where the segment decomposition degenerates.
+idea (:mod:`repro.verify.references` keeps the explicit O(n log n)
+divide-and-conquer recursion as an independent cross-check).  A sparse-table
+range-min (:func:`_window_argmin`) remains as the fallback for adversarial
+staircases where the segment decomposition degenerates.
 
-The ``dp-fast`` kernel stores row *values* only and recovers the choice of
-each visited ``(i, d)`` cell at reconstruction time with one vectorized
+The kernel stores row *values* only and recovers the choice of each
+visited ``(i, d)`` cell at reconstruction time with one vectorized
 argmin per processor — O(p·n) total, and nothing per-``d`` in interpreted
 Python anywhere on the affine path.  All whole-row temporaries live in a
 preallocated :class:`_RowScratch` pack reused across rows: at n = 10⁶ the
@@ -60,9 +60,9 @@ measurements, piecewise-linear bandwidth knees) fall back to an exact
 pivot-restricted vectorized scan — still a large constant-factor win over
 the interpreted scan, with no exactness caveat.
 
-The kernels register in :data:`repro.core.solver.ALGORITHMS` as
-``"dp-fast"`` and ``"dp-monotone"``; ``plan_scatter(algorithm="auto")``
-prefers ``dp-fast`` for general increasing costs at any ``n``.
+The kernel registers in :data:`repro.core.solver.ALGORITHMS` as
+``"dp-fast"``; ``plan_scatter(algorithm="auto")`` routes every general
+increasing-cost instance to it at any ``n``.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ from ..obs.profiler import stage_profile
 from .costs import CostFunction, CostTableCache, cost_tables
 from .distribution import DistributionResult, ScatterProblem
 
-__all__ = ["solve_dp_fast", "solve_dp_monotone"]
+__all__ = ["solve_dp_fast"]
 
 #: Max Python-level segment iterations in :func:`_window_min_monotone`
 #: before falling back to the sparse table (adversarial staircases only).
@@ -149,7 +149,7 @@ class _Workspace:
 
     def __init__(self, n: int, rows_p: int):
         self.scratch = _RowScratch(n)
-        self.rows_buf = np.empty((rows_p, n + 1)) if rows_p else None
+        self.rows_buf = np.empty((rows_p, n + 1))
 
 
 _TLS = threading.local()
@@ -157,11 +157,7 @@ _TLS = threading.local()
 
 def _get_workspace(n: int, rows_p: int) -> _Workspace:
     ws = getattr(_TLS, "ws", None)
-    if (
-        ws is not None
-        and ws.scratch.n == n
-        and (rows_p == 0 or (ws.rows_buf is not None and ws.rows_buf.shape[0] >= rows_p))
-    ):
+    if ws is not None and ws.scratch.n == n and ws.rows_buf.shape[0] >= rows_p:
         return ws
     ws = _Workspace(n, rows_p)
     _TLS.ws = ws
@@ -449,24 +445,6 @@ def _row_general_values(
     return cur
 
 
-def _general_choices(
-    comm_i: np.ndarray,
-    comp_i: np.ndarray,
-    prev: np.ndarray,
-    pivots: np.ndarray,
-) -> np.ndarray:
-    """Per-``d`` argmins for a general-scan row (dp-monotone's choice table)."""
-    n = comm_i.shape[0] - 1
-    ch = np.zeros(n + 1, dtype=np.int64)
-    for d in range(1, n + 1):
-        e_hi = int(pivots[d])
-        cand = comm_i[: e_hi + 1] + np.maximum(
-            comp_i[: e_hi + 1], prev[d - e_hi : d + 1][::-1]
-        )
-        ch[d] = int(np.argmin(cand))
-    return ch
-
-
 def _reconstruct_values(
     rows: List[np.ndarray],
     comm: List[np.ndarray],
@@ -520,261 +498,6 @@ def _reconstruct_values(
     return tuple(counts)
 
 
-def _row_candidates_affine(
-    comm_i: np.ndarray,
-    comp_i: np.ndarray,
-    prev: np.ndarray,
-    pivots: np.ndarray,
-    d_arr: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The two O(n)-vectorizable candidate families shared with kernel 2:
-    ``e = 0`` (processor skipped, window excludes it) and ``e = E(d)`` (the
-    pivot, which dominates all ``e > E(d)``).
-    """
-    cand0 = comm_i[0] + np.maximum(comp_i[0], prev)
-    candp = comm_i[pivots] + np.maximum(comp_i[pivots], prev[d_arr - pivots])
-    w_lo = d_arr - pivots + 1  # first m of the below-pivot window
-    w_hi = d_arr - 1  # m = d - 1  <=>  e = 1
-    return cand0, candp, w_lo, w_hi
-
-
-def _combine_candidates(
-    cand0: np.ndarray,
-    candp: np.ndarray,
-    b_vals: np.ndarray,
-    pivots: np.ndarray,
-    e_below: np.ndarray,
-    prev0: float,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Pick the best of the three candidate families per ``d``."""
-    n = cand0.shape[0] - 1
-    stacked = np.stack((cand0, b_vals, candp))
-    which = np.argmin(stacked, axis=0)
-    cur = stacked[which, np.arange(n + 1)]
-    ch = np.where(which == 0, 0, np.where(which == 1, e_below, pivots))
-    cur[0] = prev0
-    ch[0] = 0
-    return cur, ch.astype(np.int64)
-
-
-def _row_monotone_dc(
-    comm_i: np.ndarray,
-    comp_i: np.ndarray,
-    prev: np.ndarray,
-    pivots: np.ndarray,
-    d_arr: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Row update via divide-and-conquer monotone argmin (kernel 2).
-
-    In ``m = d - e`` space the below-pivot matrix ``M(d, m) =
-    prev[m] + comm_i[d - m]`` has argmin non-decreasing in ``d`` whenever
-    ``comm_i`` is convex on ``e >= 1`` (affine qualifies): the classic
-    divide-and-conquer DP optimization then evaluates ``O(n log n)``
-    entries instead of ``O(n²)``.
-    """
-    n = comm_i.shape[0] - 1
-    cand0, candp, w_lo, w_hi = _row_candidates_affine(
-        comm_i, comp_i, prev, pivots, d_arr
-    )
-    b_vals = np.full(n + 1, np.inf)
-    e_below = np.zeros(n + 1, dtype=np.int64)
-
-    # (d range, inherited m bounds); explicit stack to skip recursion limits.
-    stack: List[Tuple[int, int, int, int]] = [(2, n, 1, max(1, n - 1))]
-    while stack:
-        d_lo, d_hi, m_lo_b, m_hi_b = stack.pop()
-        if d_lo > d_hi:
-            continue
-        mid = (d_lo + d_hi) >> 1
-        a = max(int(w_lo[mid]), m_lo_b)
-        b = min(int(w_hi[mid]), m_hi_b)
-        if a <= b:
-            seg = prev[a : b + 1] + comm_i[mid - b : mid - a + 1][::-1]
-            jj = int(np.argmin(seg))
-            m_star = a + jj
-            b_vals[mid] = seg[jj]
-            e_below[mid] = mid - m_star
-            stack.append((d_lo, mid - 1, m_lo_b, m_star))
-            stack.append((mid + 1, d_hi, m_star, m_hi_b))
-        else:
-            stack.append((d_lo, mid - 1, m_lo_b, m_hi_b))
-            stack.append((mid + 1, d_hi, m_lo_b, m_hi_b))
-    return _combine_candidates(cand0, candp, b_vals, pivots, e_below, float(prev[0]))
-
-
-def _reconstruct(choice: List[np.ndarray], n: int, p: int) -> Tuple[int, ...]:
-    """Walk a choice table front-to-back to recover ``n_1 .. n_p``."""
-    counts = []
-    d = n
-    for i in range(p - 1):
-        c = int(choice[i][d])
-        counts.append(c)
-        d -= c
-    counts.append(d)
-    return tuple(counts)
-
-
-def _solve_fast(
-    problem: ScatterProblem,
-    *,
-    algorithm: str,
-    cache: Optional[CostTableCache],
-    warm_rows: Optional[Sequence[np.ndarray]] = None,
-    warm_choices: Optional[Sequence[np.ndarray]] = None,
-    collect: Optional[dict] = None,
-) -> DistributionResult:
-    """Shared kernel driver.
-
-    ``warm_rows`` is an optional back-to-front stack of already-computed DP
-    rows (``warm_rows[0]`` = the root's base row, ``warm_rows[j]`` = the
-    row for the suffix starting at ``P_{p-1-j}``), each of length
-    ``n + 1``.  Rows depend only on the *suffix* of processors behind
-    them, and every per-``d`` value is a pure function of table entries at
-    indices ``<= d`` — so rows computed for a larger instance, served here
-    as prefix views, are bit-identical to what a cold solve would produce.
-    The first ``len(warm_rows)`` row computations are skipped outright;
-    that is the :class:`repro.core.incremental.IncrementalPlanner` warm
-    path.  ``warm_choices`` carries the matching back-to-front choice rows
-    for ``dp-monotone`` (``len(warm_rows) - 1`` entries).
-
-    ``collect``, when given, receives the solve's reusable state:
-    ``collect["rows"]`` = front-ordered *owned* rows (buffer-backed rows
-    are copied out, warm rows pass through), and for ``dp-monotone``
-    ``collect["choices"]`` = front-ordered choice rows.
-    """
-    if not problem.is_increasing:
-        raise ValueError(
-            f"{algorithm} requires non-decreasing cost functions; "
-            "use solve_dp_basic for general costs"
-        )
-    p, n = problem.p, problem.n
-    procs = problem.processors
-
-    from .costs import get_default_cost_cache
-
-    cc = get_default_cost_cache() if cache is None else cache
-    prof = stage_profile()
-    before = cc.stats()
-    with prof.stage("cost_tables"):
-        comm, comp = cost_tables(procs, n, cache=cc)
-    after = cc.stats()
-
-    monotone = algorithm == "dp-monotone"
-    warm = list(warm_rows) if warm_rows else []
-    k0 = len(warm)
-    if k0 > p:
-        raise ValueError(f"{k0} warm rows for p={p} processors")
-    if any(row.shape[0] != n + 1 for row in warm):
-        raise ValueError(f"warm rows must have length n + 1 = {n + 1}")
-    if monotone:
-        warm_ch = list(warm_choices) if warm_choices else []
-        if k0 and len(warm_ch) != k0 - 1:
-            raise ValueError(
-                f"{k0} warm rows need {k0 - 1} warm choices, "
-                f"got {len(warm_ch)}"
-            )
-    elif warm_choices:
-        raise ValueError("warm_choices only apply to dp-monotone")
-    ws = _get_workspace(n, 0 if monotone else p)
-    s = ws.scratch
-    rows_buf = None if monotone else ws.rows_buf
-    choice: List[np.ndarray] = []  # dp-monotone only
-    rows: List[np.ndarray] = []  # filled back-to-front (root first)
-    rows_affine = 0
-    rows_general = 0
-
-    with prof.stage("dp_rows"):
-        if k0:
-            rows.extend(warm)
-            if monotone:
-                choice.extend(warm_ch)
-            prev = warm[-1]
-        elif monotone:
-            prev = comm[p - 1] + comp[p - 1]  # base row: the root alone
-        else:
-            prev = np.add(comm[p - 1], comp[p - 1], out=rows_buf[0])
-        if not k0:
-            rows.append(prev)
-        for k, i in enumerate(range(p - 2 - max(k0 - 1, 0), -1, -1), start=max(k0, 1)):
-            pivots, maxm, j, d_start, degen = _pivot_staircase(
-                procs[i].comp, comp[i], prev, s
-            )
-            if procs[i].comm.is_affine:
-                rows_affine += 1
-                if monotone:
-                    cur, ch = _row_monotone_dc(comm[i], comp[i], prev, pivots, s.m_arr)
-                    choice.append(ch)
-                else:
-                    cur = _row_affine_values(
-                        comm[i],
-                        comp[i],
-                        prev,
-                        pivots,
-                        maxm,
-                        j,
-                        d_start,
-                        degen,
-                        float(procs[i].comm.intercept),
-                        s,
-                        rows_buf[k],
-                    )
-            else:
-                rows_general += 1
-                cur = _row_general_values(comm[i], comp[i], prev, pivots)
-                if monotone:
-                    choice.append(_general_choices(comm[i], comp[i], prev, pivots))
-                else:
-                    rows_buf[k][:] = cur
-                    cur = rows_buf[k]
-            rows.append(cur)
-            prev = cur
-
-    with prof.stage("reconstruct"):
-        rows.reverse()  # rows[i] = DP values for the suffix starting at P_i
-        if monotone:
-            choice.reverse()  # choice[i] for P_{i+1}, front-first
-            counts = _reconstruct(choice, n, p)
-        else:
-            counts = _reconstruct_values(rows, comm, comp, n, p, s)
-    if collect is not None:
-        # Promote the rows to owned, immutable state: buffer-backed rows
-        # live in the thread-local workspace (overwritten by the next
-        # solve), so they are copied out; warm rows were owned already.
-        owned: List[np.ndarray] = []
-        for row in rows:
-            if rows_buf is not None and row.base is rows_buf:
-                row = row.copy()
-                row.setflags(write=False)
-            owned.append(row)
-        collect["rows"] = owned
-        if monotone:
-            collect["choices"] = list(choice)
-    prof.note(
-        table_entries=2 * p * (n + 1),
-        row_bytes=sum(row.nbytes for row in rows),
-    )
-    info = {
-        "rows_affine": rows_affine,
-        "rows_general_scan": rows_general,
-        "cost_cache": {
-            "hits": after["hits"] - before["hits"],
-            "misses": after["misses"] - before["misses"],
-        },
-    }
-    if k0:
-        info["warm_rows"] = k0
-    profile = prof.as_info()
-    if profile is not None:
-        info["profile"] = profile
-    return DistributionResult(
-        problem=problem,
-        counts=counts,
-        makespan=float(prev[n]),
-        algorithm=algorithm,
-        info=info,
-    )
-
-
 def solve_dp_fast(
     problem: ScatterProblem,
     *,
@@ -798,42 +521,120 @@ def solve_dp_fast(
         Cost-table cache to use (default: the process-wide
         :data:`~repro.core.costs.DEFAULT_COST_CACHE`).  Per-call hit/miss
         deltas are reported in ``info["cost_cache"]``.
-    warm_rows / collect:
-        Incremental re-planning hooks (see :func:`_solve_fast`): a
-        back-to-front stack of previously computed suffix rows to skip,
-        and an out-dict receiving this solve's owned rows for reuse.
+    warm_rows:
+        Optional back-to-front stack of already-computed DP rows
+        (``warm_rows[0]`` = the root's base row, ``warm_rows[j]`` = the row
+        for the suffix starting at ``P_{p-1-j}``), each of length
+        ``n + 1``.  Rows depend only on the *suffix* of processors behind
+        them, and every per-``d`` value is a pure function of table entries
+        at indices ``<= d`` — so rows computed for a larger instance, served
+        here as prefix views, are bit-identical to what a cold solve would
+        produce.  The first ``len(warm_rows)`` row computations are skipped
+        outright; that is the
+        :class:`repro.core.incremental.IncrementalPlanner` warm path.
+    collect:
+        When given, receives the solve's reusable state:
+        ``collect["rows"]`` = front-ordered *owned* rows (buffer-backed rows
+        are copied out, warm rows pass through).
     """
-    return _solve_fast(
-        problem,
-        algorithm="dp-fast",
-        cache=cache,
-        warm_rows=warm_rows,
-        collect=collect,
+    if not problem.is_increasing:
+        raise ValueError(
+            "dp-fast requires non-decreasing cost functions; "
+            "use solve_dp_basic for general costs"
+        )
+    p, n = problem.p, problem.n
+    procs = problem.processors
+
+    from .costs import get_default_cost_cache
+
+    cc = get_default_cost_cache() if cache is None else cache
+    prof = stage_profile()
+    before = cc.stats()
+    with prof.stage("cost_tables"):
+        comm, comp = cost_tables(procs, n, cache=cc)
+    after = cc.stats()
+
+    warm = list(warm_rows) if warm_rows else []
+    k0 = len(warm)
+    if k0 > p:
+        raise ValueError(f"{k0} warm rows for p={p} processors")
+    if any(row.shape[0] != n + 1 for row in warm):
+        raise ValueError(f"warm rows must have length n + 1 = {n + 1}")
+    ws = _get_workspace(n, p)
+    s = ws.scratch
+    rows_buf = ws.rows_buf
+    rows: List[np.ndarray] = []  # filled back-to-front (root first)
+    rows_affine = 0
+    rows_general = 0
+
+    with prof.stage("dp_rows"):
+        if k0:
+            rows.extend(warm)
+            prev = warm[-1]
+        else:
+            prev = np.add(comm[p - 1], comp[p - 1], out=rows_buf[0])
+            rows.append(prev)
+        for k, i in enumerate(range(p - 2 - max(k0 - 1, 0), -1, -1), start=max(k0, 1)):
+            pivots, maxm, j, d_start, degen = _pivot_staircase(
+                procs[i].comp, comp[i], prev, s
+            )
+            if procs[i].comm.is_affine:
+                rows_affine += 1
+                cur = _row_affine_values(
+                    comm[i],
+                    comp[i],
+                    prev,
+                    pivots,
+                    maxm,
+                    j,
+                    d_start,
+                    degen,
+                    float(procs[i].comm.intercept),
+                    s,
+                    rows_buf[k],
+                )
+            else:
+                rows_general += 1
+                rows_buf[k][:] = _row_general_values(comm[i], comp[i], prev, pivots)
+                cur = rows_buf[k]
+            rows.append(cur)
+            prev = cur
+
+    with prof.stage("reconstruct"):
+        rows.reverse()  # rows[i] = DP values for the suffix starting at P_i
+        counts = _reconstruct_values(rows, comm, comp, n, p, s)
+    if collect is not None:
+        # Promote the rows to owned, immutable state: buffer-backed rows
+        # live in the thread-local workspace (overwritten by the next
+        # solve), so they are copied out; warm rows were owned already.
+        owned: List[np.ndarray] = []
+        for row in rows:
+            if row.base is rows_buf:
+                row = row.copy()
+                row.setflags(write=False)
+            owned.append(row)
+        collect["rows"] = owned
+    prof.note(
+        table_entries=2 * p * (n + 1),
+        row_bytes=sum(row.nbytes for row in rows),
     )
-
-
-def solve_dp_monotone(
-    problem: ScatterProblem,
-    *,
-    cache: Optional[CostTableCache] = None,
-    warm_rows: Optional[Sequence[np.ndarray]] = None,
-    warm_choices: Optional[Sequence[np.ndarray]] = None,
-    collect: Optional[dict] = None,
-) -> DistributionResult:
-    """Algorithm 2's optimum via divide-and-conquer monotone argmin.
-
-    Same contract and preconditions as :func:`solve_dp_fast`;
-    ``O(p · n log n)`` — the below-pivot minimization walks the monotone-
-    argmin recursion instead of the offline segment decomposition.  Useful
-    as an independent cross-check of kernel 1.  ``warm_rows`` /
-    ``warm_choices`` / ``collect`` are the incremental re-planning hooks
-    (see :func:`_solve_fast`).
-    """
-    return _solve_fast(
-        problem,
-        algorithm="dp-monotone",
-        cache=cache,
-        warm_rows=warm_rows,
-        warm_choices=warm_choices,
-        collect=collect,
+    info = {
+        "rows_affine": rows_affine,
+        "rows_general_scan": rows_general,
+        "cost_cache": {
+            "hits": after["hits"] - before["hits"],
+            "misses": after["misses"] - before["misses"],
+        },
+    }
+    if k0:
+        info["warm_rows"] = k0
+    profile = prof.as_info()
+    if profile is not None:
+        info["profile"] = profile
+    return DistributionResult(
+        problem=problem,
+        counts=counts,
+        makespan=float(prev[n]),
+        algorithm="dp-fast",
+        info=info,
     )

@@ -50,15 +50,10 @@ row at indices that were never computed.  Growth therefore re-runs the row
 kernels (cost tables stay warm — the cache re-tabulates once at the new
 ``n`` and keeps serving prefix views).
 
-``dp-monotone`` additionally reuses its choice matrices, but only at the
-*same* ``n``: the divide-and-conquer argmin tie-breaks depend on the
-recursion tree, which depends on ``n``, so choice rows are not
-prefix-stable (values are; choices are not).  The planner enforces this.
-
-Routing mirrors :func:`~repro.core.solver.plan_scatter` exactly:
-linear → closed form, affine → LP heuristic, increasing → dp-fast (the
-warm path), else dp-basic below ``exact_threshold``.  Non-DP routes are
-already near-instant and delegate to the cold facade unchanged.
+Routing is :func:`~repro.core.solver.route`, the same call
+:func:`~repro.core.solver.plan_scatter` makes.  Only the flat ``dp-fast``
+route warm-starts; every other route (and the tree topology) delegates to
+the cold facade unchanged — those solvers are already near-instant.
 
 Metrics (``repro.obs.metrics.METRICS``):
 
@@ -88,14 +83,11 @@ from ..obs.metrics import METRICS
 from ..obs.profiler import stage_profile
 from .costs import CostFunction, CostTableCache
 from .distribution import DistributionResult, ScatterProblem
-from .dp_fast import solve_dp_fast, solve_dp_monotone
+from .dp_fast import solve_dp_fast
 from .ordering import apply_policy
-from .solver import ALGORITHMS, TOPOLOGIES, plan_scatter
+from .solver import ALGORITHMS, TOPOLOGIES, plan_scatter, route
 
 __all__ = ["IncrementalPlanner"]
-
-#: Algorithms whose kernels accept warm rows.
-_WARM_ALGORITHMS = ("dp-fast", "dp-monotone")
 
 #: Value identity of a problem's cost structure, front-ordered.
 _Key = Tuple[Tuple[CostFunction, CostFunction], ...]
@@ -132,12 +124,9 @@ class _SolveState:
 
     key: _Key
     n: int
-    algorithm: str
     #: front-ordered: ``rows[i]`` = DP values for the suffix starting at
     #: ``P_i``; ``rows[p - 1]`` is the root's base row.
     rows: List[np.ndarray] = field(repr=False)
-    #: dp-monotone only, front-ordered, ``p - 1`` entries.
-    choices: Optional[List[np.ndarray]] = field(default=None, repr=False)
 
     @property
     def p(self) -> int:
@@ -156,16 +145,14 @@ class IncrementalPlanner:
     ----------
     algorithm:
         Same contract as :func:`plan_scatter`.  Warm-starting applies to
-        the ``dp-fast`` / ``dp-monotone`` routes (which ``"auto"`` picks
-        for general increasing costs); every other route delegates to the
-        cold facade — those solvers are already O(p)–O(p log p).
+        the ``dp-fast`` route (which ``"auto"`` picks for general
+        increasing costs); every other route delegates to the cold
+        facade — those solvers are already O(p)–O(p log p).
     order_policy:
         Ordering applied before matching/solving.  Defaults to ``None``
         (keep the caller's order) because re-planning consumers pin the
         processor order to rank order; pass a policy only for standalone
         use.
-    exact_threshold:
-        As in :func:`plan_scatter`.
     cache:
         Cost-table cache for the DP routes (a
         :class:`~repro.core.shared_cache.SharedCostTableCache` plugs in
@@ -193,7 +180,6 @@ class IncrementalPlanner:
         *,
         algorithm: str = "auto",
         order_policy: Optional[str] = None,
-        exact_threshold: int = 5_000,
         cache: Optional[CostTableCache] = None,
         keep_states: int = 2,
         topology: str = "flat",
@@ -211,7 +197,6 @@ class IncrementalPlanner:
         self.algorithm = algorithm
         self.order_policy = order_policy
         self.topology = topology
-        self.exact_threshold = int(exact_threshold)
         self.cache = cache if cache is not None else CostTableCache()
         self.keep_states = int(keep_states)
         self._states: List[_SolveState] = []
@@ -221,39 +206,16 @@ class IncrementalPlanner:
         self.rows_reused = 0
         self.rows_computed = 0
 
-    # -- routing ---------------------------------------------------------
-    def _route(self, problem: ScatterProblem) -> str:
-        """The algorithm :func:`plan_scatter` would run for ``problem``."""
-        if self.algorithm != "auto":
-            return self.algorithm
-        if problem.is_linear:
-            return "closed-form"
-        if problem.is_affine:
-            return "lp-heuristic"
-        if problem.is_increasing:
-            return "dp-fast"
-        if problem.n <= self.exact_threshold:
-            return "dp-basic"
-        return "auto"  # plan_scatter raises its canonical error
-
     # -- state -----------------------------------------------------------
-    def _best_state(
-        self, key: _Key, n: int, algorithm: str
-    ) -> Tuple[Optional[_SolveState], int]:
+    def _best_state(self, key: _Key, n: int) -> Tuple[Optional[_SolveState], int]:
         """Most-reusable cached state and its matched suffix depth."""
         best: Optional[_SolveState] = None
         best_m = 0
         with self._lock:
             states = list(self._states)
         for state in reversed(states):  # most recent wins ties
-            if state.algorithm != algorithm:
-                continue
-            # dp-fast rows are prefix-stable; dp-monotone choices are not.
-            if algorithm == "dp-monotone":
-                if state.n != n:
-                    continue
-            elif state.n < n:
-                continue
+            if state.n < n:
+                continue  # rows are prefix-stable in n, never extensible
             m = _suffix_match(key, state.key)
             if m > best_m:
                 best, best_m = state, m
@@ -263,11 +225,7 @@ class IncrementalPlanner:
         with self._lock:
             # Replace a same-shape state instead of churning the list.
             for i, old in enumerate(self._states):
-                if (
-                    old.algorithm == state.algorithm
-                    and old.n == state.n
-                    and old.key == state.key
-                ):
+                if old.n == state.n and old.key == state.key:
                     self._states[i] = state
                     return
             self._states.append(state)
@@ -310,80 +268,43 @@ class IncrementalPlanner:
         problem.check_valid()
         if self.order_policy is not None:
             problem = apply_policy(problem, self.order_policy)
-        if self.topology == "tree":
-            # Tree schedules have no row-structured DP to warm-start —
-            # delegate to the cold tree facade (same result contract).
-            METRICS.counter("core.incremental.cold_plans").inc()
-            note_blocking("IncrementalPlanner.cold_plan")
-            return plan_scatter(
-                problem,
-                algorithm=self.algorithm,
-                order_policy=None,
-                exact_threshold=self.exact_threshold,
-                topology="tree",
-            )
-        route = self._route(problem)
-        if route not in _WARM_ALGORITHMS:
-            METRICS.counter("core.incremental.cold_plans").inc()
-            note_blocking("IncrementalPlanner.cold_plan")
-            return plan_scatter(
-                problem,
-                algorithm=self.algorithm,
-                order_policy=None,
-                exact_threshold=self.exact_threshold,
-            )
-        return self._plan_dp(problem, route)
+        # Tree schedules have no row-structured DP to warm-start.
+        if self.topology == "flat" and route(problem, self.algorithm) == "dp-fast":
+            return self._plan_dp(problem)
+        METRICS.counter("core.incremental.cold_plans").inc()
+        note_blocking("IncrementalPlanner.cold_plan")
+        return plan_scatter(
+            problem,
+            algorithm=self.algorithm,
+            order_policy=None,
+            topology=self.topology,
+        )
 
     __call__ = plan
 
-    def _plan_dp(
-        self, problem: ScatterProblem, route: str
-    ) -> DistributionResult:
+    def _plan_dp(self, problem: ScatterProblem) -> DistributionResult:
         p, n = problem.p, problem.n
         prof = stage_profile()
         key = _problem_key(problem)
         with prof.stage("incremental_match"):
-            state, depth = self._best_state(key, n, route)
+            state, depth = self._best_state(key, n)
         warm_rows = None
-        warm_choices = None
         if state is not None and depth:
             sp = state.p
             warm_rows = [
                 state.rows[i][: n + 1]
                 for i in range(sp - 1, sp - 1 - depth, -1)
             ]
-            if route == "dp-monotone" and state.choices is not None:
-                warm_choices = [
-                    state.choices[i]
-                    for i in range(sp - 2, sp - 1 - depth, -1)
-                ]
         collected: dict = {}
         note_blocking("IncrementalPlanner.solve")
         with prof.stage("incremental_solve"):
-            if route == "dp-monotone":
-                result = solve_dp_monotone(
-                    problem,
-                    cache=self.cache,
-                    warm_rows=warm_rows,
-                    warm_choices=warm_choices,
-                    collect=collected,
-                )
-            else:
-                result = solve_dp_fast(
-                    problem,
-                    cache=self.cache,
-                    warm_rows=warm_rows,
-                    collect=collected,
-                )
-        self._store(
-            _SolveState(
-                key=key,
-                n=n,
-                algorithm=route,
-                rows=collected["rows"],
-                choices=collected.get("choices"),
+            result = solve_dp_fast(
+                problem,
+                cache=self.cache,
+                warm_rows=warm_rows,
+                collect=collected,
             )
-        )
+        self._store(_SolveState(key=key, n=n, rows=collected["rows"]))
         reused = depth if warm_rows is not None else 0
         computed = p - reused
         METRICS.counter("core.incremental.warm_rows").inc(reused)

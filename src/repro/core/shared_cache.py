@@ -11,10 +11,12 @@ publishes it to a named segment, and every other process maps it zero-copy.
 
 Design notes
 ------------
-* **Naming is deterministic.**  Segments are named from a SHA-1 digest of a
-  *canonical value key* of the cost function plus ``n`` (Python's built-in
-  ``hash`` is salted per process, so it cannot name cross-process
-  resources).  Only the analytic/tabulated cost classes have such a key;
+* **Naming is deterministic.**  Segments are named from a SHA-1 digest of
+  the cost function's :func:`~repro.core.costs.cost_fingerprint` plus ``n``
+  (Python's built-in ``hash`` is salted per process, so it cannot name
+  cross-process resources).  That is the plan cache's exact value key, so
+  tabulated costs key by their exact values here too.  Only the
+  analytic/tabulated cost classes have such a key;
   :class:`~repro.core.costs.CallableCost` and friends silently stay in the
   in-process tier.
 * **Publication is a single-flag commit.**  Each segment carries a 16-byte
@@ -55,58 +57,12 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..obs.metrics import METRICS
-from .costs import (
-    AffineCost,
-    CostFunction,
-    CostTableCache,
-    LinearCost,
-    PiecewiseLinearCost,
-    TabulatedCost,
-    ZeroCost,
-    _build_table,
-)
+from .costs import CostFunction, CostTableCache, _build_table, cost_fingerprint
 
-__all__ = ["SharedCostTableCache", "stable_cost_key"]
+__all__ = ["SharedCostTableCache"]
 
 _HEADER = struct.Struct("<QQ")  # (ready flag, float64 entry count)
 _READY = 0x5343_4154_5445_5231  # arbitrary non-zero magic
-
-
-def stable_cost_key(fn: CostFunction) -> Optional[str]:
-    """Canonical value string for ``fn``, identical in every process.
-
-    Returns ``None`` for cost functions without a value identity (callable
-    wrappers), which then bypass the shared tier.  Fractions print as
-    ``p/q`` so the key is exact, not float-rounded.
-
-    Numerically equal analytic forms collapse to one key so their (bit
-    identical) tables share one segment: ``AffineCost(a, 0)`` keys as
-    ``LinearCost(a)``, any zero-rate linear/affine form keys as
-    ``ZeroCost``, and ``zero_is_free`` only enters the key when the
-    intercept is non-zero (it is unobservable otherwise).  Piecewise and
-    tabulated costs keep their own kinds even when their values happen to
-    trace a line: their float tables go through ``np.interp``/lookup, so
-    bit-identity with the analytic build is not guaranteed.
-    """
-    kind = type(fn)
-    if kind is ZeroCost:
-        return "zero"
-    if kind is LinearCost:
-        if fn.rate == 0:
-            return "zero"
-        return f"lin:{fn.rate}"
-    if kind is AffineCost:
-        if fn.intercept == 0:
-            if fn.rate == 0:
-                return "zero"
-            return f"lin:{fn.rate}"
-        return f"aff:{fn.rate}:{fn.intercept}:{int(fn.zero_is_free)}"
-    if kind is TabulatedCost:
-        return "tab:" + hashlib.sha1(fn._float_values.tobytes()).hexdigest()
-    if kind is PiecewiseLinearCost:
-        pts = ";".join(f"{x},{t}" for x, t in zip(fn._xs, fn._ts))
-        return f"pwl:{pts}"
-    return None
 
 
 def _unregister(name: str) -> None:
@@ -201,7 +157,7 @@ class SharedCostTableCache(CostTableCache):
         this with exactly one in-process builder per key; cross-process
         races are resolved by :meth:`_publish`'s create-exclusive commit.
         """
-        key = stable_cost_key(fn)
+        key = cost_fingerprint(fn)
         arr: Optional[np.ndarray] = None
         if key is not None:
             name = self._segment_name(key, n)

@@ -3,8 +3,8 @@
 The paper offers a toolbox — exact DP for arbitrary costs, optimized DP for
 increasing costs, closed form + rounding for linear costs, LP heuristic for
 affine costs — with a two-day / six-minute / instantaneous quality-speed
-trade-off.  :func:`plan_scatter` encodes the selection logic a user would
-otherwise do by hand, and is the recommended entry point of the library.
+trade-off.  :func:`route` is the one place that selection is made;
+:func:`plan_scatter`, the recommended entry point of the library, runs it.
 """
 
 from __future__ import annotations
@@ -14,22 +14,27 @@ from typing import Optional
 from ..obs.profiler import stage_profile
 from .closed_form import solve_closed_form
 from .distribution import DistributionResult, ScatterProblem
-from .dp_basic import solve_dp_basic, solve_dp_basic_vectorized
-from .dp_fast import solve_dp_fast, solve_dp_monotone
+from .dp_basic import solve_dp_basic
+from .dp_fast import solve_dp_fast
 from .dp_optimized import solve_dp_optimized
 from .heuristic import solve_heuristic
 from .ordering import apply_policy
 
-__all__ = ["plan_scatter", "solve_uniform", "ALGORITHMS", "TOPOLOGIES"]
+__all__ = [
+    "plan_scatter",
+    "route",
+    "solve_uniform",
+    "ALGORITHMS",
+    "EXACT_THRESHOLD",
+    "TOPOLOGIES",
+]
 
 #: Algorithm names accepted by :func:`plan_scatter`.
 ALGORITHMS = (
     "auto",
     "dp-basic",
-    "dp-basic-vectorized",
     "dp-optimized",
     "dp-fast",
-    "dp-monotone",
     "closed-form",
     "lp-heuristic",
     "uniform",
@@ -38,13 +43,53 @@ ALGORITHMS = (
 #: Schedule topologies accepted by :func:`plan_scatter`.
 TOPOLOGIES = ("flat", "tree")
 
+#: Largest ``n`` for which ``"auto"`` runs Algorithm 1 on non-monotonic
+#: costs (the paper's Algorithm 1 ran two days on n = 817,101).
+EXACT_THRESHOLD = 5_000
+
+
+def route(problem: ScatterProblem, algorithm: str = "auto") -> str:
+    """The solver :func:`plan_scatter` runs for ``problem``.
+
+    An explicit ``algorithm`` routes to itself.  ``"auto"`` picks:
+
+    * ``closed-form`` when every cost is linear (exact rational optimum,
+      instantaneous — the configuration of the paper's experiments);
+    * ``lp-heuristic`` when every cost is affine (guaranteed within the
+      Eq. 4 gap);
+    * ``dp-fast`` for general increasing costs at *any* ``n`` — the
+      vectorized exact kernel of :mod:`repro.core.dp_fast` makes the exact
+      optimum affordable where Algorithm 2's interpreted scan was not;
+    * ``dp-basic`` for non-monotonic costs with ``n <=``
+      :data:`EXACT_THRESHOLD`;
+    * otherwise raises ``ValueError`` — only truly non-monotonic instances
+      that large still need an explicit algorithm choice.
+
+    Every cost-model test is order-invariant, so the route is the same
+    before and after an ordering policy is applied.
+    """
+    if algorithm != "auto":
+        return algorithm
+    if problem.is_linear:
+        return "closed-form"
+    if problem.is_affine:
+        return "lp-heuristic"
+    if problem.is_increasing:
+        return "dp-fast"
+    if problem.n <= EXACT_THRESHOLD:
+        return "dp-basic"
+    raise ValueError(
+        f"no automatic algorithm for non-monotonic costs with "
+        f"n={problem.n} (> EXACT_THRESHOLD={EXACT_THRESHOLD}); "
+        f"pass algorithm= explicitly"
+    )
+
 
 def plan_scatter(
     problem: ScatterProblem,
     *,
     algorithm: str = "auto",
     order_policy: Optional[str] = "bandwidth-desc",
-    exact_threshold: int = 5_000,
     topology: str = "flat",
 ) -> DistributionResult:
     """Compute a load-balanced scatter distribution.
@@ -54,27 +99,12 @@ def plan_scatter(
     problem:
         The instance (root last).
     algorithm:
-        One of :data:`ALGORITHMS`.  ``"auto"`` picks:
-
-        * ``closed-form`` when every cost is linear (exact rational optimum,
-          instantaneous — the configuration of the paper's experiments);
-        * ``lp-heuristic`` when every cost is affine (guaranteed within the
-          Eq. 4 gap);
-        * ``dp-fast`` for general increasing costs at *any* ``n`` — the
-          vectorized exact kernel of :mod:`repro.core.dp_fast` makes the
-          exact optimum affordable where Algorithm 2's interpreted scan
-          was not;
-        * ``dp-basic`` for non-monotonic costs with ``n <= exact_threshold``;
-        * otherwise raises — only truly non-monotonic instances that large
-          still need an explicit algorithm choice (the paper's Algorithm 1
-          ran two days on n = 817,101).
+        One of :data:`ALGORITHMS`; :func:`route` resolves ``"auto"``.
     order_policy:
         Ordering applied before solving (default: Theorem 3's descending
         bandwidth).  ``None`` keeps the given order — note the distribution
         is tied to the *returned* result's problem, whose processor order
         may then differ from the input's.
-    exact_threshold:
-        Largest ``n`` for which ``"auto"`` is willing to run a DP.
     topology:
         ``"flat"`` (default) produces the paper's rank-ordered single-port
         schedule.  ``"tree"`` delegates to
@@ -99,7 +129,6 @@ def plan_scatter(
             problem,
             algorithm=algorithm,
             order_policy=order_policy,
-            exact_threshold=exact_threshold,
         )
     # Base hypotheses (§3.1): every cost must be non-negative and null at
     # zero — the closed form, the DPs and the LP all silently mis-solve
@@ -108,32 +137,13 @@ def plan_scatter(
     if order_policy is not None:
         problem = apply_policy(problem, order_policy)
 
-    if algorithm == "auto":
-        if problem.is_linear:
-            algorithm = "closed-form"
-        elif problem.is_affine:
-            algorithm = "lp-heuristic"
-        elif problem.is_increasing:
-            algorithm = "dp-fast"
-        elif problem.n <= exact_threshold:
-            algorithm = "dp-basic"
-        else:
-            raise ValueError(
-                f"no automatic algorithm for non-monotonic costs with "
-                f"n={problem.n} (> exact_threshold={exact_threshold}); "
-                f"pass algorithm= explicitly"
-            )
-
+    algorithm = route(problem, algorithm)
     if algorithm == "dp-basic":
         return solve_dp_basic(problem)
-    if algorithm == "dp-basic-vectorized":
-        return solve_dp_basic_vectorized(problem)
     if algorithm == "dp-optimized":
         return solve_dp_optimized(problem)
     if algorithm == "dp-fast":
         return solve_dp_fast(problem)
-    if algorithm == "dp-monotone":
-        return solve_dp_monotone(problem)
     if algorithm == "closed-form":
         return solve_closed_form(problem)
     if algorithm == "lp-heuristic":

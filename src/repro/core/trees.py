@@ -591,7 +591,6 @@ def plan_scatter_tree(
     construction: str = "auto",
     algorithm: str = "auto",
     order_policy: Optional[str] = "bandwidth-desc",
-    exact_threshold: int = 5_000,
     opt_limit: int = DEFAULT_OPT_LIMIT,
 ) -> DistributionResult:
     """Co-optimize a distribution *and* a scatter tree for it.
@@ -613,12 +612,7 @@ def plan_scatter_tree(
     """
     prof = stage_profile()
     with prof.stage("flat-baseline"):
-        flat = plan_scatter(
-            problem,
-            algorithm=algorithm,
-            order_policy=order_policy,
-            exact_threshold=exact_threshold,
-        )
+        flat = plan_scatter(problem, algorithm=algorithm, order_policy=order_policy)
         solved = flat.problem
         flat_exact = solved.makespan_exact(flat.counts)
 

@@ -9,17 +9,14 @@ deterministic function of its input and the plans are byte-identical.
 
 Canonicalization rules (the equal-value ⟹ equal-key contract):
 
-* **Exact arithmetic.**  Coefficients key by their exact
-  :class:`~fractions.Fraction` value, so ``LinearCost(Fraction(1, 2))``
-  and ``LinearCost(0.5)`` collide (floats convert exactly — binary 0.5
-  *is* 1/2) while ``LinearCost(Fraction(1, 10))`` and ``LinearCost(0.1)``
-  stay distinct (binary 0.1 is not 1/10, and ``makespan_exact`` differs).
-* **Degenerate forms collapse.**  ``AffineCost(a, 0)`` keys as
-  ``LinearCost(a)``; any zero-rate linear/affine form keys as
-  :class:`~repro.core.costs.ZeroCost`; ``zero_is_free`` enters the key
-  only when the intercept is non-zero (it is unobservable otherwise).
-  These forms agree in exact *and* float semantics and carry identical
-  routing flags, so merged keys can never mix distinct plans.
+* **Costs key by exact value.**  Each cost contributes its
+  :func:`~repro.core.costs.cost_fingerprint` — exact
+  :class:`~fractions.Fraction` coefficients, so ``LinearCost(Fraction(1,
+  2))`` and ``LinearCost(0.5)`` collide (binary 0.5 *is* 1/2) while
+  ``LinearCost(Fraction(1, 10))`` and ``LinearCost(0.1)`` stay distinct
+  (binary 0.1 is not 1/10, and ``makespan_exact`` differs); degenerate
+  analytic forms (``AffineCost(a, 0)``, zero rates) collapse, since they
+  agree in exact *and* float semantics and route alike.
 * **Names are ignored.**  Processor names never reach a solver; the key
   is positional over cost pairs (the same convention as
   ``IncrementalPlanner``'s state matching).
@@ -31,11 +28,9 @@ Canonicalization rules (the equal-value ⟹ equal-key contract):
   arbitrary Python — no value identity, so :func:`problem_fingerprint`
   returns ``None`` and the serve layer solves it uncached.
 
-The fingerprint is deliberately *stricter* than
-:func:`repro.core.shared_cache.stable_cost_key`: the shared-memory tier
-only needs float-table identity (tabulated costs key by their float
-bytes), while the plan cache returns ``makespan_exact`` and therefore
-keys tabulated/piecewise costs by their exact rational values.
+``cost_fingerprint`` lives in :mod:`repro.core.costs` because the
+shared-memory table tier names its segments with the same key; this
+module re-exports it.
 """
 
 from __future__ import annotations
@@ -44,46 +39,10 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import FrozenSet, Optional
 
-from ..core.costs import (
-    AffineCost,
-    CostFunction,
-    LinearCost,
-    PiecewiseLinearCost,
-    TabulatedCost,
-    ZeroCost,
-)
+from ..core.costs import cost_fingerprint
 from ..core.distribution import ScatterProblem
 
 __all__ = ["Fingerprint", "cost_fingerprint", "problem_fingerprint"]
-
-
-def cost_fingerprint(fn: CostFunction) -> Optional[str]:
-    """Exact canonical key for one cost function, or ``None``.
-
-    Equal-value analytic forms share a key (see the module docs); the
-    key embeds exact Fractions (``"lin:1/2"``), so it is stable across
-    processes and Python versions.
-    """
-    kind = type(fn)
-    if kind is ZeroCost:
-        return "zero"
-    if kind is LinearCost:
-        if fn.rate == 0:
-            return "zero"
-        return f"lin:{fn.rate}"
-    if kind is AffineCost:
-        if fn.intercept == 0:
-            if fn.rate == 0:
-                return "zero"
-            return f"lin:{fn.rate}"
-        return f"aff:{fn.rate}:{fn.intercept}:{int(fn.zero_is_free)}"
-    if kind is TabulatedCost:
-        body = ";".join(str(v) for v in fn._values)
-        return "tab:" + hashlib.sha1(body.encode()).hexdigest()
-    if kind is PiecewiseLinearCost:
-        body = ";".join(f"{x},{t}" for x, t in zip(fn._xs, fn._ts))
-        return "pwl:" + hashlib.sha1(body.encode()).hexdigest()
-    return None
 
 
 @dataclass(frozen=True)
@@ -114,7 +73,6 @@ def problem_fingerprint(
     problem: ScatterProblem,
     *,
     algorithm: str = "auto",
-    exact_threshold: int = 5_000,
     topology: str = "flat",
 ) -> Optional[Fingerprint]:
     """Fingerprint of ``problem`` as the solver will actually see it.
@@ -125,9 +83,6 @@ def problem_fingerprint(
     genuinely order-sensitive requests (``order_policy=None`` with
     different sequences) stay distinct.
 
-    ``exact_threshold`` only affects routing for ``"auto"`` over
-    non-increasing costs, so it is folded into the key only in that
-    case — a linear request keys the same under any threshold.
     ``topology`` enters the key only when non-flat (``";topo=tree"``),
     so every pre-existing flat canonical string is unchanged; a tree
     request can never collide with a flat one for the same platform.
@@ -147,8 +102,6 @@ def problem_fingerprint(
         keys.add(comm)
         keys.add(comp)
     head = f"v1;n={problem.n};p={problem.p};alg={algorithm}"
-    if algorithm == "auto" and not problem.is_increasing:
-        head += f";thr={exact_threshold}"
     if topology != "flat":
         head += f";topo={topology}"
     canonical = head + ";" + ";".join(parts)

@@ -17,8 +17,11 @@ Request schema (one object per line)::
 * ``platform: "table1"`` — the paper's built-in platform; or
 * ``processors`` — explicit list, **root last**; each entry takes
   ``alpha`` (compute s/item), ``beta`` (transfer s/item) and optional
-  ``comp_intercept``/``comm_intercept`` (affine fixed costs);
-* ``algorithm`` — optional per-request override of the service default.
+  ``comp_intercept``/``comm_intercept`` (affine fixed costs).
+
+Every request is planned with the service's own ``--algorithm``; a
+request that names an ``algorithm`` is rejected rather than silently
+served by another solver.
 
 Response schema::
 
@@ -26,9 +29,10 @@ Response schema::
      "algorithm": "closed-form", "cached": false, "coalesced": false}
     {"id": "r2", "ok": false, "error": "..."}
 
-Malformed lines produce an ``ok: false`` response (with a null ``id`` if
-none could be parsed) instead of killing the loop; blank lines are
-skipped.
+Malformed lines produce an ``ok: false`` response instead of killing the
+loop.  The response echoes the request's ``id`` whenever the line is a
+JSON object, and carries a null ``id`` only when none could be parsed.
+Blank lines are skipped.
 """
 
 from __future__ import annotations
@@ -39,22 +43,46 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 from ..core.distribution import Processor, ScatterProblem
 from .service import PlanService, PlanTicket
 
-__all__ = ["parse_request", "serve_jsonl"]
+__all__ = ["RequestError", "parse_request", "serve_jsonl"]
+
+
+class RequestError(ValueError):
+    """A malformed request line; ``req_id`` is its id, if one was parsed."""
+
+    def __init__(self, message: str, req_id: Optional[Any] = None) -> None:
+        super().__init__(message)
+        self.req_id = req_id
 
 
 def parse_request(line: str) -> Tuple[Optional[Any], ScatterProblem]:
     """Parse one JSONL request line into ``(id, problem)``.
 
-    Raises ``ValueError`` on malformed input (the loop converts that
-    into an error response rather than crashing).
+    Raises :class:`RequestError` on malformed input, carrying the line's
+    id when it is a JSON object (the loop converts that into an error
+    response rather than crashing).
     """
     try:
         doc = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON: {exc}") from None
+        raise RequestError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
-        raise ValueError(f"request must be a JSON object, got {type(doc).__name__}")
+        raise RequestError(
+            f"request must be a JSON object, got {type(doc).__name__}"
+        )
     req_id = doc.get("id")
+    try:
+        return req_id, _request_problem(doc)
+    except Exception as exc:
+        raise RequestError(str(exc), req_id) from exc
+
+
+def _request_problem(doc: Dict[str, Any]) -> ScatterProblem:
+    """The problem a request object describes (raises on bad fields)."""
+    if "algorithm" in doc:
+        raise ValueError(
+            "requests cannot choose an 'algorithm'; the service plans "
+            "every request with its own --algorithm"
+        )
     n = doc.get("n")
     if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
         raise ValueError(f"'n' must be a positive integer, got {n!r}")
@@ -75,14 +103,12 @@ def parse_request(line: str) -> Tuple[Optional[Any], ScatterProblem]:
                     entry.get("comm_intercept", 0),
                 )
             )
-        problem = ScatterProblem(procs, n)
-    elif doc.get("platform", "table1") == "table1":
+        return ScatterProblem(procs, n)
+    if doc.get("platform", "table1") == "table1":
         from ..workloads.table1 import table1_problem
 
-        problem = table1_problem(n)
-    else:
-        raise ValueError(f"unknown platform {doc.get('platform')!r}")
-    return req_id, problem
+        return table1_problem(n)
+    raise ValueError(f"unknown platform {doc.get('platform')!r}")
 
 
 def _response(req_id: Optional[Any], ticket: PlanTicket) -> Dict[str, Any]:
@@ -133,6 +159,8 @@ def serve_jsonl(
         try:
             req_id, problem = parse_request(line)
             batch.append((req_id, service.submit(problem), None))
+        except RequestError as exc:
+            batch.append((exc.req_id, None, str(exc)))
         except Exception as exc:
             batch.append((req_id, None, str(exc)))
         if len(batch) >= window:

@@ -169,10 +169,9 @@ class _Flight:
 
 def _solve_request(payload: tuple) -> DistributionResult:
     """Module-level solve for process-pool dispatch (must pickle)."""
-    problem, algorithm, exact_threshold, topology = payload
+    problem, algorithm, topology = payload
     return plan_scatter(
-        problem, algorithm=algorithm, order_policy=None,
-        exact_threshold=exact_threshold, topology=topology,
+        problem, algorithm=algorithm, order_policy=None, topology=topology,
     )
 
 
@@ -181,7 +180,7 @@ class PlanService:
 
     Parameters
     ----------
-    algorithm / exact_threshold / topology:
+    algorithm / topology:
         Passed through to the solver routing (see
         :func:`~repro.core.solver.plan_scatter`).  With
         ``topology="tree"`` every plan is solved by the tree-aware
@@ -222,7 +221,6 @@ class PlanService:
         *,
         algorithm: str = "auto",
         order_policy: Optional[str] = "bandwidth-desc",
-        exact_threshold: int = 5_000,
         topology: str = "flat",
         cache_size: int = 1024,
         ttl: Optional[float] = None,
@@ -244,12 +242,10 @@ class PlanService:
             )
         self.algorithm = algorithm
         self.order_policy = order_policy
-        self.exact_threshold = int(exact_threshold)
         self.topology = topology
         self.cache = PlanCache(cache_size, ttl=ttl)
         self.planner = planner if planner is not None else IncrementalPlanner(
-            algorithm=algorithm, order_policy=None,
-            exact_threshold=exact_threshold, topology=topology,
+            algorithm=algorithm, order_policy=None, topology=topology,
         )
         self._time = time_fn if time_fn is not None else time.monotonic
         if executor is not None:
@@ -281,9 +277,7 @@ class PlanService:
         if self.order_policy is not None:
             ordered = apply_policy(problem, self.order_policy)
         fp = problem_fingerprint(
-            ordered, algorithm=self.algorithm,
-            exact_threshold=self.exact_threshold,
-            topology=self.topology,
+            ordered, algorithm=self.algorithm, topology=self.topology,
         )
         t0 = self._time()
         ticket = PlanTicket(ordered, fp, t0)
@@ -331,7 +325,7 @@ class PlanService:
             # boundary: workers run a cold module-level solve instead.
             self._executor.submit(
                 _solve_request,
-                (ordered, self.algorithm, self.exact_threshold, self.topology),
+                (ordered, self.algorithm, self.topology),
                 callback=on_done,
                 error_callback=on_error,
             )
@@ -391,9 +385,7 @@ class PlanService:
         if self.order_policy is not None:
             ordered = apply_policy(problem, self.order_policy)
         fp = problem_fingerprint(
-            ordered, algorithm=self.algorithm,
-            exact_threshold=self.exact_threshold,
-            topology=self.topology,
+            ordered, algorithm=self.algorithm, topology=self.topology,
         )
         return fp is not None and self.cache.invalidate(fp.key)
 

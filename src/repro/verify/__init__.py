@@ -17,6 +17,9 @@ instances.  This package turns them into the repo's correctness backbone:
   degenerate edges), every applicable solver run on every instance,
   exact-solver agreement and heuristic-bound compliance asserted, and
   failing instances *shrunk* to minimal counterexamples.
+* :mod:`repro.verify.references` — cross-check kernels that are not
+  solver routes (``dp-basic-vectorized``, ``dp-monotone``); the fuzzer runs
+  them next to the production solvers under those names.
 * :mod:`repro.verify.golden` — byte-stable golden-trace regression:
   JSONL/JSON snapshots of canonical Table-1 runs with an update flow and
   drift diffs, reusing :mod:`repro.obs.exporters`.

@@ -76,6 +76,7 @@ from ..core.heuristic import guarantee_gap, relaxed_makespan
 from ..core.incremental import IncrementalPlanner
 from ..core.solver import plan_scatter
 from ..core.trees import ScatterTree, tree_lower_bound, tree_makespan_exact
+from .references import REFERENCES, solve_reference
 
 __all__ = [
     "FLOAT_RTOL",
@@ -173,7 +174,8 @@ def applicable_algorithms(
     """Solvers the differential harness should run on ``problem``.
 
     ``max_dp_n`` bounds the O(p·n²) Algorithm 1 family; the sub-quadratic
-    kernels (dp-fast / dp-monotone) are kept for any increasing instance.
+    kernels (dp-fast and the dp-monotone reference) are kept for any
+    increasing instance.
     """
     algos: List[str] = ["uniform"]
     if problem.n <= max_dp_n:
@@ -199,9 +201,12 @@ def solve_all(
 
     Solvers are invoked through :func:`repro.core.plan_scatter` with
     ``order_policy=None`` so every algorithm sees the *same* processor
-    order (differential comparison requires a common instance).  A solver
-    raising is recorded in ``crashes`` as ``algorithm -> repr(exc)`` —
-    on harness-generated (valid) instances any crash is a finding.
+    order (differential comparison requires a common instance); the
+    cross-check kernels of :mod:`repro.verify.references` run through
+    :func:`~repro.verify.references.solve_reference` on that same order.
+    A solver raising is recorded in ``crashes`` as
+    ``algorithm -> repr(exc)`` — on harness-generated (valid) instances any
+    crash is a finding.
     """
     if algorithms is None:
         algorithms = applicable_algorithms(problem, max_dp_n=max_dp_n)
@@ -209,7 +214,10 @@ def solve_all(
     crashes: Dict[str, str] = {}
     for algo in algorithms:
         try:
-            results[algo] = plan_scatter(problem, algorithm=algo, order_policy=None)
+            if algo in REFERENCES:
+                results[algo] = solve_reference(problem, algo)
+            else:
+                results[algo] = plan_scatter(problem, algorithm=algo, order_policy=None)
         except Exception as exc:  # noqa: BLE001 — any crash is the finding
             crashes[algo] = f"{type(exc).__name__}: {exc}"
     return results, crashes

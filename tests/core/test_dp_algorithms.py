@@ -16,9 +16,9 @@ from repro.core import (
     TabulatedCost,
     ZeroCost,
     solve_dp_basic,
-    solve_dp_basic_vectorized,
     solve_dp_optimized,
 )
+from repro.verify.references import solve_dp_basic_vectorized
 from repro.workloads import random_linear_problem, random_tabulated_problem
 
 from ..conftest import brute_force_optimum

@@ -1,12 +1,13 @@
 """Randomized cross-check of every exact DP kernel, plus cache regressions.
 
 The contract of the fast solver backbone: ``dp-basic``, ``dp-optimized``,
-``dp-fast`` and ``dp-monotone`` all compute the *same optimal makespan* on
-any increasing-cost instance (counts may break ties differently).  This
-module grinds that claim over ~200 random instances spanning linear,
-affine (intercepts) and rough tabulated cost shapes, varied ``p`` and
-``n``, and verifies the :class:`CostTableCache` actually serves repeated
-solves from memory.
+``dp-fast`` and the cross-check references of :mod:`repro.verify.references`
+(``dp-basic-vectorized``, ``dp-monotone``) all compute the *same optimal
+makespan* on any increasing-cost instance (counts may break ties
+differently).  This module grinds that claim over ~200 random instances
+spanning linear, affine (intercepts) and rough tabulated cost shapes, varied
+``p`` and ``n``, and verifies the :class:`CostTableCache` actually serves
+repeated solves from memory.
 """
 
 import random
@@ -23,11 +24,10 @@ from repro.core import (
     ZeroCost,
     plan_scatter,
     solve_dp_basic,
-    solve_dp_basic_vectorized,
     solve_dp_fast,
-    solve_dp_monotone,
     solve_dp_optimized,
 )
+from repro.verify.references import solve_dp_basic_vectorized, solve_dp_monotone
 from repro.workloads import (
     random_affine_problem,
     random_linear_problem,
@@ -182,7 +182,7 @@ class TestAutoRouting:
         )
 
     def test_large_increasing_instance_no_longer_raises(self):
-        prob = self._piecewise_prob(8_000)  # well past exact_threshold
+        prob = self._piecewise_prob(8_000)  # well past EXACT_THRESHOLD
         res = plan_scatter(prob)
         assert res.algorithm == "dp-fast"
         assert sum(res.counts) == prob.n
@@ -190,7 +190,7 @@ class TestAutoRouting:
     def test_explicit_kernels_via_facade(self):
         prob = self._piecewise_prob(300)
         fast = plan_scatter(prob, algorithm="dp-fast")
-        mono = plan_scatter(prob, algorithm="dp-monotone")
         opt = plan_scatter(prob, algorithm="dp-optimized")
+        mono = solve_dp_monotone(opt.problem)  # the facade's ordered instance
         assert fast.makespan == pytest.approx(opt.makespan)
         assert mono.makespan == pytest.approx(opt.makespan)

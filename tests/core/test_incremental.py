@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from repro.core import (
+    EXACT_THRESHOLD,
     IncrementalPlanner,
     PiecewiseLinearCost,
     Processor,
@@ -139,32 +140,6 @@ class TestResize:
         assert again.info["incremental"]["warm_rows"] == shrunk.p
 
 
-class TestDpMonotone:
-    def test_same_n_removal_reuses_choices(self, tab_problem):
-        planner = IncrementalPlanner(algorithm="dp-monotone")
-        planner.plan(tab_problem)
-        survivor = ScatterProblem(tab_problem.processors[1:], tab_problem.n)
-        warm = planner.plan(survivor)
-        cold = plan_scatter(
-            survivor, algorithm="dp-monotone", order_policy=None
-        )
-        assert_byte_match(warm, cold)
-        assert warm.info["incremental"]["warm_rows"] == survivor.p
-
-    def test_different_n_never_reuses(self, tab_problem):
-        # dp-monotone choice rows are not prefix-stable in n; the planner
-        # must refuse the warm start rather than risk a count divergence.
-        planner = IncrementalPlanner(algorithm="dp-monotone")
-        planner.plan(tab_problem)
-        smaller = ScatterProblem(tab_problem.processors, tab_problem.n // 2)
-        warm = planner.plan(smaller)
-        cold = plan_scatter(
-            smaller, algorithm="dp-monotone", order_policy=None
-        )
-        assert_byte_match(warm, cold)
-        assert warm.info["incremental"]["warm_rows"] == 0
-
-
 class TestStateManagement:
     def test_keep_states_bound_evicts_but_pins_largest(self, knee_problem):
         planner = IncrementalPlanner(keep_states=1)
@@ -225,15 +200,18 @@ class TestDelegation:
         )
 
     def test_unroutable_raises_like_plan_scatter(self):
-        values = [F(0), F(5), F(2), F(9)]  # non-monotone: no dp-fast route
-        tab = TabulatedCost(values)
+        # Non-monotone past EXACT_THRESHOLD: no dp-fast and no dp-basic route.
+        n = EXACT_THRESHOLD + 1
+        tab = TabulatedCost([F(0)] + [F(5) if i % 2 else F(2) for i in range(n)])
         problem = ScatterProblem(
-            [Processor("x", tab, tab), Processor("r", TabulatedCost([F(0)] * 4), tab)],
-            n=3,
+            [Processor("x", tab, tab), Processor("r", ZeroCost(), tab)], n=n
         )
-        planner = IncrementalPlanner(exact_threshold=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-monotonic") as cold:
+            plan_scatter(problem, order_policy=None)
+        planner = IncrementalPlanner()
+        with pytest.raises(ValueError) as warm:
             planner.plan(problem)
+        assert str(warm.value) == str(cold.value)
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):

@@ -14,10 +14,11 @@ from repro.core.costs import (
     PiecewiseLinearCost,
     TabulatedCost,
     ZeroCost,
+    cost_fingerprint,
     get_default_cost_cache,
     set_default_cost_cache,
 )
-from repro.core.shared_cache import SharedCostTableCache, stable_cost_key
+from repro.core.shared_cache import SharedCostTableCache
 from repro.obs.metrics import METRICS
 
 from fractions import Fraction
@@ -31,13 +32,16 @@ def _shm_entries(namespace):
 
 
 class TestStableCostKey:
+    """Segment names derive from cost_fingerprint, which must be a stable,
+    exact value key in every process."""
+
     def test_kinds_distinct(self):
         keys = {
-            stable_cost_key(ZeroCost()),
-            stable_cost_key(LinearCost(0.25)),
-            stable_cost_key(AffineCost(0.25, 1.5)),
-            stable_cost_key(TabulatedCost([0.0, 1.0, 2.5])),
-            stable_cost_key(PiecewiseLinearCost([(0, 0), (100, 25)])),
+            cost_fingerprint(ZeroCost()),
+            cost_fingerprint(LinearCost(0.25)),
+            cost_fingerprint(AffineCost(0.25, 1.5)),
+            cost_fingerprint(TabulatedCost([0.0, 1.0, 2.5])),
+            cost_fingerprint(PiecewiseLinearCost([(0, 0), (100, 25)])),
         }
         assert len(keys) == 5
         assert None not in keys
@@ -48,15 +52,15 @@ class TestStableCostKey:
         a = LinearCost(Fraction(1, 3))
         b = LinearCost(Fraction(33333333333333333, 10**17))
         assert float(a.rate) == pytest.approx(float(b.rate))
-        assert stable_cost_key(a) != stable_cost_key(b)
+        assert cost_fingerprint(a) != cost_fingerprint(b)
 
     def test_same_value_same_key(self):
-        assert stable_cost_key(AffineCost(Fraction(1, 4), 2)) == stable_cost_key(
+        assert cost_fingerprint(AffineCost(Fraction(1, 4), 2)) == cost_fingerprint(
             AffineCost(Fraction(2, 8), 2)
         )
 
     def test_callable_has_no_key(self):
-        assert stable_cost_key(CallableCost(lambda x: x * 0.1)) is None
+        assert cost_fingerprint(CallableCost(lambda x: x * 0.1)) is None
 
 
 class TestSharedCostTableCache:
@@ -146,7 +150,7 @@ class TestSharedCostTableCache:
 
         cache = SharedCostTableCache(namespace="rsct7")
         fn = LinearCost(0.75)
-        name = cache._segment_name(stable_cost_key(fn), 20)
+        name = cache._segment_name(cost_fingerprint(fn), 20)
         seg = shared_memory.SharedMemory(name=name, create=True, size=16 + 21 * 8)
         try:
             # Header still zero: a reader mid-publish must compute locally

@@ -4,12 +4,15 @@ import pytest
 
 from repro.core import (
     ALGORITHMS,
+    EXACT_THRESHOLD,
     Processor,
     ScatterProblem,
     TabulatedCost,
     ZeroCost,
     plan_scatter,
+    route,
 )
+from repro.core import solver
 from repro.core.costs import AffineCost
 
 
@@ -63,22 +66,40 @@ class TestAutoSelection:
         assert res.algorithm == "dp-basic"
 
     def test_large_increasing_instance_routed_to_fast_kernel(self):
-        # Monotone costs no longer hit the exact_threshold guard at any n.
-        res = plan_scatter(tabulated_prob(30), exact_threshold=10)
+        # Monotone costs never hit the EXACT_THRESHOLD guard, at any n.
+        n = EXACT_THRESHOLD + 1
+        res = plan_scatter(tabulated_prob(n))
         assert res.algorithm == "dp-fast"
-        assert sum(res.counts) == 30
+        assert sum(res.counts) == n
 
-    def test_large_non_monotonic_instance_refused(self):
-        prob = tabulated_prob(30, monotone=False)
+    def test_large_non_monotonic_instance_refused(self, monkeypatch):
+        def no_dp(problem):
+            raise AssertionError("a DP ran before the route was refused")
+
+        monkeypatch.setattr(solver, "solve_dp_basic", no_dp)
+        prob = tabulated_prob(EXACT_THRESHOLD + 1, monotone=False)
         with pytest.raises(ValueError, match="non-monotonic"):
-            plan_scatter(prob, exact_threshold=10)
+            plan_scatter(prob)
+
+
+class TestRoute:
+    def test_threshold_is_inclusive(self):
+        at = tabulated_prob(EXACT_THRESHOLD, monotone=False)
+        assert route(at) == "dp-basic"
+        with pytest.raises(ValueError, match="non-monotonic"):
+            route(tabulated_prob(EXACT_THRESHOLD + 1, monotone=False))
+
+    def test_explicit_algorithm_routes_to_itself(self):
+        for algo in ALGORITHMS:
+            if algo == "auto":
+                continue
+            assert route(tabulated_prob(monotone=False), algo) == algo
 
 
 class TestExplicitAlgorithms:
     @pytest.mark.parametrize(
         "algorithm",
-        ["dp-basic", "dp-basic-vectorized", "dp-optimized", "dp-fast",
-         "dp-monotone", "closed-form", "lp-heuristic"],
+        ["dp-basic", "dp-optimized", "dp-fast", "closed-form", "lp-heuristic"],
     )
     def test_all_algorithms_solve_linear(self, algorithm):
         res = plan_scatter(linear_prob(), algorithm=algorithm)
@@ -93,6 +114,12 @@ class TestExplicitAlgorithms:
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
             plan_scatter(linear_prob(), algorithm="quantum")
+
+    @pytest.mark.parametrize("algorithm", ["dp-basic-vectorized", "dp-monotone"])
+    def test_cross_check_kernels_are_not_routes(self, algorithm):
+        # They live in repro.verify.references, not in the solver surface.
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            plan_scatter(linear_prob(), algorithm=algorithm)
 
     def test_registry_is_complete(self):
         for algo in ALGORITHMS:

@@ -14,9 +14,9 @@ from repro.core.costs import (
     TabulatedCost,
     ZeroCost,
 )
+from repro.core.costs import cost_fingerprint as core_cost_fingerprint
 from repro.core.distribution import Processor, ScatterProblem
 from repro.core.ordering import apply_policy
-from repro.core.shared_cache import stable_cost_key
 from repro.serve.fingerprint import cost_fingerprint, problem_fingerprint
 
 
@@ -70,20 +70,14 @@ class TestCostFingerprint:
         c = TabulatedCost([Fraction(0), Fraction(1, 3), Fraction(2, 3)])
         assert cost_fingerprint(a) != cost_fingerprint(b)
         assert cost_fingerprint(a) == cost_fingerprint(c)
-        # ...even where the float-table key (shared tier) collides.
-        assert stable_cost_key(a) == stable_cost_key(b)
 
     def test_callable_has_no_fingerprint(self):
         assert cost_fingerprint(CallableCost(lambda x: 0.1 * x)) is None
 
-    def test_stable_cost_key_merges_same_analytic_forms(self):
-        # The shared-memory tier's key must collapse the same
-        # analytic degeneracies (satellite: stable_cost_key fix).
-        assert stable_cost_key(AffineCost(0.25, 0)) == stable_cost_key(
-            LinearCost(0.25)
-        )
-        assert stable_cost_key(LinearCost(0)) == stable_cost_key(ZeroCost())
-        assert stable_cost_key(AffineCost(0, 0)) == "zero"
+    def test_serve_reexports_the_core_cost_identity(self):
+        # One cost identity: the plan cache and the shared table tier
+        # both key costs by repro.core.costs.cost_fingerprint.
+        assert cost_fingerprint is core_cost_fingerprint
 
 
 def _problem(costs, n=1000):
@@ -118,9 +112,15 @@ class TestProblemFingerprint:
         procs = [Processor.linear("P1", 0.01, 2e-5),
                  Processor.linear("root", 0.02, 0.0)]
         prob = ScatterProblem(procs, 100)
-        assert problem_fingerprint(prob, exact_threshold=10) == (
-            problem_fingerprint(prob, exact_threshold=10_000)
+        assert ";thr=" not in problem_fingerprint(prob).canonical
+        # EXACT_THRESHOLD is a constant, so even a request whose auto
+        # route depends on it keys without a threshold clause.
+        tab = TabulatedCost([0, 5, 2, 9])
+        general = ScatterProblem(
+            [Processor("x", tab, tab), Processor("r", ZeroCost(), tab)], 3
         )
+        assert not general.is_increasing
+        assert ";thr=" not in problem_fingerprint(general).canonical
 
     def test_normalized_permutations_share_a_key(self):
         procs = [Processor.linear(f"P{i}", 0.01 * (i + 1), 1e-5 * (i + 1))
@@ -174,17 +174,6 @@ class TestEqualValueEqualKeyProperties:
             assert cost_fingerprint(aff) == lin_key
         else:
             assert cost_fingerprint(aff) != lin_key
-
-    @settings(max_examples=40, deadline=None)
-    @given(rate=_rates.filter(lambda r: r > 0))
-    def test_shared_key_and_fingerprint_agree_on_analytic_merges(self, rate):
-        # Both keyspaces must make the same merge decision for analytic
-        # forms, or the shared tier and plan cache would disagree about
-        # which instances are "the same platform".
-        lin, aff = LinearCost(rate), AffineCost(rate, 0)
-        assert (stable_cost_key(lin) == stable_cost_key(aff)) == (
-            cost_fingerprint(lin) == cost_fingerprint(aff)
-        )
 
     @settings(max_examples=30, deadline=None)
     @given(

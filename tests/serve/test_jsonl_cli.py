@@ -45,6 +45,7 @@ class TestParseRequest:
         '{"id": 1, "n": 10, "platform": "marsnet"}',
         '{"id": 1, "n": 10, "processors": []}',
         '{"id": 1, "n": 10, "processors": [{"beta": 1}, {"alpha": 1}]}',
+        '{"id": 1, "n": 10, "algorithm": "dp-fast"}',
     ])
     def test_malformed(self, line):
         with pytest.raises(ValueError):
@@ -67,6 +68,19 @@ class TestServeJsonl:
         assert responses[0]["counts"] == list(cold.counts)
         assert responses[0]["makespan"] == cold.makespan
         assert not responses[0]["cached"] and responses[1]["cached"]
+
+    def test_error_responses_echo_the_request_id(self):
+        lines = [
+            '{"id": "r7", "n": -1}',
+            '{"id": "r8", "n": 1000, "algorithm": "no-such-solver"}',
+            '{"id": "r9", "n": 10, "processors": [{"alpha": "x"}, {"alpha": 1}]}',
+            "not json",
+        ]
+        with PlanService() as svc:
+            responses = list(serve_jsonl(lines, svc))
+        assert [r["id"] for r in responses] == ["r7", "r8", "r9", None]
+        assert not any(r["ok"] for r in responses)
+        assert "its own --algorithm" in responses[1]["error"]
 
     def test_window_batches_submissions(self):
         lines = _lines([{"id": i, "n": 1000} for i in range(5)])
