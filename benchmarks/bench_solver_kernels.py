@@ -11,21 +11,17 @@ Two entry points:
 * ``pytest benchmarks/bench_solver_kernels.py`` — the same run as a smoke
   benchmark with the ≥ 5× kernel-speedup assertion (marked ``slow``).
 
-JSON layout (``schema: bench-solvers/v2``)::
+JSON layout (``schema: bench-solvers/v3``)::
 
     headline.instance                 the n=20k, p=16 affine instance
     headline.results.<algorithm>      {"seconds", "makespan"}
     headline.speedup_vs_dp_optimized  wall-clock ratios for the new kernels
-    headline.dp_fast_warm_cache      re-solve timing with hot cost tables
     ladder.results.<algorithm>        the full ladder at a DP-friendly n
     scaling.points[]                  dp-fast at n ∈ {1e5, 5e5, 1e6}:
-                                      cold/warm seconds + peak-RSS (MiB)
+                                      cold seconds + peak-RSS (MiB)
 
 Each ``scaling`` point runs in a forked child so its ``ru_maxrss`` is that
-solve's own high-water mark, not the parent's accumulated footprint.  The
-warm solve goes through a *second* :class:`SharedCostTableCache` instance
-attaching to the segments the cold solve published — the cross-process
-hand-off the shared tier exists for, minus the pool noise.
+solve's own high-water mark, not the parent's accumulated footprint.
 
 Lower is better for ``seconds``; ``makespan`` values of the exact kernels
 must agree to float precision (that is the equivalence guarantee, enforced
@@ -55,11 +51,12 @@ from repro.workloads import random_affine_problem
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH_PATH = os.path.join(REPO_ROOT, "BENCH_solvers.json")
 
-#: Exact DP kernels that accept a ``cache=`` keyword.
+#: Exact DP kernels.  The table-driven ones get a fresh cost-table cache
+#: per solve, so every row is a cold build; dp-fast keeps no tables.
 _KERNELS: Dict[str, Callable] = {
-    "dp-optimized": solve_dp_optimized,
+    "dp-optimized": lambda prob: solve_dp_optimized(prob, cache=CostTableCache()),
     "dp-fast": solve_dp_fast,
-    "dp-monotone": solve_dp_monotone,
+    "dp-monotone": lambda prob: solve_dp_monotone(prob, cache=CostTableCache()),
 }
 
 
@@ -74,16 +71,13 @@ def _timed(solver: Callable, problem, **kwargs) -> Dict[str, float]:
 SCALING_NS = (100_000, 500_000, 1_000_000)
 
 
-def _cold_point(n: int, p: int, seed: int, namespace: str, conn) -> None:
-    """Forked child: cold dp-fast solve, publishing tables to ``namespace``."""
+def _cold_point(n: int, p: int, seed: int, conn) -> None:
+    """Forked child: one cold dp-fast solve and its peak RSS."""
     import resource
 
-    from repro.core.shared_cache import SharedCostTableCache
-
     problem = random_affine_problem(random.Random(seed), p, n)
-    cache = SharedCostTableCache(namespace=namespace, owner=False)
     t0 = time.perf_counter()
-    result = solve_dp_fast(problem, cache=cache)
+    result = solve_dp_fast(problem)
     cold_s = time.perf_counter() - t0
     peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     conn.send(
@@ -91,36 +85,6 @@ def _cold_point(n: int, p: int, seed: int, namespace: str, conn) -> None:
             "cold_s": round(cold_s, 6),
             "makespan": result.makespan,
             "peak_rss_mib": round(peak_kib / 1024.0, 1),
-        }
-    )
-    conn.close()
-
-
-def _warm_point(n: int, p: int, seed: int, namespace: str, conn) -> None:
-    """Fresh forked child: solve again attaching to the published tables —
-    the pool-worker pattern the shared tier exists for."""
-    import resource
-
-    from repro.core.shared_cache import SharedCostTableCache
-
-    problem = random_affine_problem(random.Random(seed), p, n)
-    cache = SharedCostTableCache(namespace=namespace, owner=False)
-    # Best of three: the first solve also first-touches the solver scratch
-    # (page-fault noise that has nothing to do with the cache tier); the
-    # repeats are the steady-state warm figure, matching ``_best_of`` use
-    # elsewhere in this suite.
-    warm_s = float("inf")
-    for _ in range(3):
-        t0 = time.perf_counter()
-        result = solve_dp_fast(problem, cache=cache)
-        warm_s = min(warm_s, time.perf_counter() - t0)
-    assert cache.shared_stats()["created"] == 0, "warm solve re-published tables"
-    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    conn.send(
-        {
-            "warm_shared_s": round(warm_s, 6),
-            "makespan": result.makespan,
-            "warm_peak_rss_mib": round(peak_kib / 1024.0, 1),
         }
     )
     conn.close()
@@ -142,38 +106,15 @@ def _in_child(ctx, target, args) -> dict:
 
 
 def run_scaling_ladder(*, p: int = 16, seed: int = 7, sizes=SCALING_NS) -> list:
-    """dp-fast cold/shared-warm timings at each n.
-
-    Each measurement runs in its own forked child so ``ru_maxrss`` is that
-    solve's own high-water mark: the *cold* child tabulates and publishes
-    the shared segments; a second, fresh *warm* child attaches to them.
-    The parent owns the namespace and unlinks it after both children exit.
-    """
+    """dp-fast cold timings at each n, each solve in its own forked child
+    so ``ru_maxrss`` is that solve's own high-water mark."""
     import multiprocessing
-
-    from repro.core.shared_cache import SharedCostTableCache
 
     ctx = multiprocessing.get_context("fork")
     points = []
     for n in sizes:
-        ns = f"rbench{os.getpid()}n{n}"
-        owner = SharedCostTableCache(namespace=ns)  # cleanup handle only
-        try:
-            cold = _in_child(ctx, _cold_point, (n, p, seed, ns))
-            warm = _in_child(ctx, _warm_point, (n, p, seed, ns))
-        finally:
-            owner.unlink_all()
-        points.append(
-            {
-                "n": n,
-                "cold_s": cold["cold_s"],
-                "warm_shared_s": warm["warm_shared_s"],
-                "makespan": cold["makespan"],
-                "makespan_matches": cold["makespan"] == warm["makespan"],
-                "peak_rss_mib": cold["peak_rss_mib"],
-                "warm_peak_rss_mib": warm["warm_peak_rss_mib"],
-            }
-        )
+        cold = _in_child(ctx, _cold_point, (n, p, seed))
+        points.append({"n": n, **cold})
     return points
 
 
@@ -191,15 +132,8 @@ def run_solver_bench(
 
     headline: Dict[str, Dict[str, float]] = {}
     for name, solver in _KERNELS.items():
-        # Fresh cache per solver: every row is a cold cost-table build.
-        headline[name] = _timed(solver, problem, cache=CostTableCache())
+        headline[name] = _timed(solver, problem)
     headline["lp-heuristic"] = _timed(solve_heuristic, problem)
-
-    # Warm-cache re-solve: the sweep/root-selection pattern the cache serves.
-    warm_cache = CostTableCache()
-    solve_dp_fast(problem, cache=warm_cache)
-    warm = _timed(solve_dp_fast, problem, cache=warm_cache)
-    warm["cache_hits"] = warm_cache.stats()["hits"]
 
     base = headline["dp-optimized"]["seconds"]
     speedups = {
@@ -210,19 +144,18 @@ def run_solver_bench(
     ladder_problem = random_affine_problem(random.Random(seed + 1), p, ladder_n)
     ladder: Dict[str, Dict[str, float]] = {}
     for name, solver in _KERNELS.items():
-        ladder[name] = _timed(solver, ladder_problem, cache=CostTableCache())
+        ladder[name] = _timed(solver, ladder_problem)
     ladder["dp-basic-vectorized"] = _timed(solve_dp_basic_vectorized, ladder_problem,
                                            cache=CostTableCache())
     ladder["lp-heuristic"] = _timed(solve_heuristic, ladder_problem)
 
     payload = {
-        "schema": "bench-solvers/v2",
+        "schema": "bench-solvers/v3",
         "generated_by": "benchmarks/bench_solver_kernels.py",
         "headline": {
             "instance": {"kind": "random-affine", "seed": seed, "n": n, "p": p},
             "results": headline,
             "speedup_vs_dp_optimized": speedups,
-            "dp_fast_warm_cache": warm,
         },
         "ladder": {
             "instance": {"kind": "random-affine", "seed": seed + 1,
@@ -256,8 +189,6 @@ def bench_solver_kernels(report):
 
     speedups = payload["headline"]["speedup_vs_dp_optimized"]
     assert speedups["dp-fast"] >= 5.0, speedups
-    # Warm cost tables never retabulate: one hit per cost function.
-    assert payload["headline"]["dp_fast_warm_cache"]["cache_hits"] >= 2 * 16
 
     lines = [f"wrote {BENCH_PATH}"]
     for name, row in results.items():
@@ -296,14 +227,9 @@ def bench_smoke_regression(report):
         pt["n"]: pt for pt in committed.get("scaling", {}).get("points", [])
     }
     fresh_pt = fresh["scaling"]["points"][0]
-    assert fresh_pt["makespan_matches"], "shared-warm solve diverged from cold"
     base_pt = committed_pts.get(fresh_pt["n"])
     if base_pt is not None:
         assert fresh_pt["cold_s"] <= 2.0 * base_pt["cold_s"], (fresh_pt, base_pt)
-        assert fresh_pt["warm_shared_s"] <= 2.0 * base_pt["warm_shared_s"], (
-            fresh_pt,
-            base_pt,
-        )
 
     report(
         "bench_smoke",
@@ -311,7 +237,6 @@ def bench_smoke_regression(report):
             [
                 f"headline dp-fast: {fresh_head:.3f}s (committed {base_head:.3f}s)",
                 f"n=1e5 cold {fresh_pt['cold_s']:.3f}s "
-                f"warm-shared {fresh_pt['warm_shared_s']:.3f}s "
                 f"peak-RSS {fresh_pt['peak_rss_mib']:.0f} MiB",
                 f"wrote {out_path}",
             ]

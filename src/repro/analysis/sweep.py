@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 import os
 import random
-import secrets
-import weakref
 from dataclasses import dataclass
 from multiprocessing.pool import Pool, ThreadPool
 from typing import Any, Callable, Iterable, List, Optional, Sequence, TypeVar
@@ -100,23 +98,13 @@ class SequentialSweepEvaluator(SweepEvaluator):
         return [fn(item) for item in items]
 
 
-def _install_shared_tier(namespace: str) -> None:
-    """Pool-worker initializer: point every solver at the shared tier."""
-    from ..core.costs import set_default_cost_cache
-    from ..core.shared_cache import SharedCostTableCache
-
-    set_default_cost_cache(
-        SharedCostTableCache(namespace=namespace, owner=False)
-    )
-
-
 def _eval_with_metrics(payload: tuple) -> tuple:
     """Run one item in a pool worker, capturing the metrics it accrues.
 
     Counters bumped inside a worker process die with the worker; shipping
     the per-item delta back with the result lets the parent merge it into
-    its own :data:`METRICS`, so cache hit rates and BENCH deltas stay
-    truthful under ``backend="process"``.
+    its own :data:`METRICS`, so counters and BENCH deltas stay truthful
+    under ``backend="process"``.
     """
     fn, item = payload
     before = METRICS.kinded_snapshot()
@@ -139,21 +127,12 @@ class ParallelSweepEvaluator(SweepEvaluator):
         a process pool, which requires picklable problems and evaluation
         functions (module-level functions over analytic cost models are;
         closures and ``CallableCost`` are not).
-    cache_tier:
-        ``"process"`` (default) keeps each worker's in-process
-        :class:`~repro.core.costs.CostTableCache` — workers re-derive
-        identical tables.  ``"shared"`` installs a
-        :class:`~repro.core.shared_cache.SharedCostTableCache` under one
-        namespace in the parent *and* every pool worker, so a table is
-        tabulated once process-wide and mapped zero-copy everywhere else;
-        hit/miss/bytes land in ``core.cost_cache.shared.*``.  Segments are
-        unlinked when the evaluator closes.
 
     Results are identical to :class:`SequentialSweepEvaluator` — only
     wall-clock changes.  With ``backend="process"``, metrics accrued in
     workers are merged back into the parent's :data:`METRICS` after each
     batch.  Use as a context manager (or call :meth:`close`) to release
-    the pool and any shared segments.
+    the pool.
     """
 
     def __init__(
@@ -161,54 +140,20 @@ class ParallelSweepEvaluator(SweepEvaluator):
         workers: Optional[int] = None,
         *,
         backend: str = "thread",
-        cache_tier: str = "process",
     ):
         if backend not in ("thread", "process"):
             raise ValueError(f"unknown backend {backend!r}; know 'thread', 'process'")
-        if cache_tier not in ("process", "shared"):
-            raise ValueError(
-                f"unknown cache_tier {cache_tier!r}; know 'process', 'shared'"
-            )
         self.workers = int(workers) if workers is not None else (os.cpu_count() or 1)
         self.backend = backend
-        self.cache_tier = cache_tier
         self._pool: Optional[Any] = None
-        self._shared_cache: Optional[Any] = None
-        self._prev_cache: Optional[Any] = None
-        self._finalizer: Optional[weakref.finalize] = None
-        init, initargs = None, ()
-        if cache_tier == "shared":
-            from ..core.costs import set_default_cost_cache
-            from ..core.shared_cache import SharedCostTableCache
-
-            ns = f"rsweep{os.getpid()}_{secrets.token_hex(4)}"
-            self._shared_cache = SharedCostTableCache(namespace=ns, owner=True)
-            self._prev_cache = set_default_cost_cache(self._shared_cache)
-            # Backstop for callers that drop the evaluator without close():
-            # unlink the namespace's segments when this object is
-            # collected.  Holds the cache's bound method, not ``self``, so
-            # the finalizer never keeps the evaluator alive; close()
-            # detaches it and runs the full teardown instead.
-            self._finalizer = weakref.finalize(
-                self, self._shared_cache.unlink_all
-            )
-            if backend == "process":
-                init, initargs = _install_shared_tier, (ns,)
         if self.workers > 1:
             try:
                 if backend == "thread":
                     self._pool = ThreadPool(self.workers)
                 else:
-                    self._pool = Pool(self.workers, init, initargs)
+                    self._pool = Pool(self.workers)
             except OSError:  # pragma: no cover - resource-limited hosts
                 self._pool = None
-            except BaseException:
-                # Pool creation failed after the shared tier was already
-                # installed: restore the default cache and remove the
-                # segments before surfacing the error, or a long-lived
-                # process would leak /dev/shm space per failed construction.
-                self._teardown_shared()
-                raise
 
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
         items = list(items)
@@ -260,23 +205,11 @@ class ParallelSweepEvaluator(SweepEvaluator):
             fn, (item,), callback=callback, error_callback=error_callback
         )
 
-    def _teardown_shared(self) -> None:
-        if self._finalizer is not None:
-            self._finalizer.detach()
-            self._finalizer = None
-        if self._shared_cache is not None:
-            from ..core.costs import set_default_cost_cache
-
-            set_default_cost_cache(self._prev_cache)
-            self._shared_cache.unlink_all()
-            self._shared_cache = None
-
     def close(self) -> None:
         if self._pool is not None:
             self._pool.close()
             self._pool.join()
             self._pool = None
-        self._teardown_shared()
 
 
 def _evaluate_points(

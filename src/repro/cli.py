@@ -196,9 +196,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.backend == "sequential":
         evaluator = SequentialSweepEvaluator()
     else:
-        evaluator = ParallelSweepEvaluator(
-            args.workers, backend=args.backend, cache_tier=args.cache_tier
-        )
+        evaluator = ParallelSweepEvaluator(args.workers, backend=args.backend)
     with evaluator:
         if args.dimension == "heterogeneity":
             points = heterogeneity_sweep(
@@ -337,7 +335,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         ttl=args.ttl,
         backend=args.backend,
         workers=args.workers,
-        cache_tier=args.cache_tier,
     )
     if args.input:
         stream = open(args.input, encoding="utf-8")
@@ -618,14 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="pool size for --backend thread/process (default: cpu count)",
     )
-    p_sw.add_argument(
-        "--cache-tier",
-        choices=["process", "shared"],
-        default="process",
-        dest="cache_tier",
-        help="cost-table cache tier: per-process, or shared-memory "
-        "segments mapped zero-copy by every pool worker",
-    )
     p_sw.set_defaults(fn=cmd_sweep)
 
     p_ch = sub.add_parser(
@@ -703,11 +692,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_se.add_argument(
         "--workers", type=int, default=None,
         help="pool size for --backend thread/process (default: cpu count)",
-    )
-    p_se.add_argument(
-        "--cache-tier", choices=["process", "shared"], default="process",
-        dest="cache_tier",
-        help="cost-table cache tier for pool backends",
     )
     p_se.add_argument(
         "--window", type=int, default=64,

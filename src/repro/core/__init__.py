@@ -26,7 +26,6 @@ from .closed_form import (
 from .costs import (
     DEFAULT_COST_CACHE,
     get_default_cost_cache,
-    set_default_cost_cache,
     AffineCost,
     CallableCost,
     CostFunction,
@@ -81,7 +80,6 @@ from .weighted import (
     solve_weighted_heuristic,
 )
 from .rounding import check_rounding, round_largest_remainder, round_paper
-from .shared_cache import SharedCostTableCache
 from .solver import ALGORITHMS, EXACT_THRESHOLD, TOPOLOGIES, plan_scatter, route
 from .incremental import IncrementalPlanner
 from .trees import (
@@ -115,8 +113,6 @@ __all__ = [
     "CostTableCache",
     "DEFAULT_COST_CACHE",
     "get_default_cost_cache",
-    "set_default_cost_cache",
-    "SharedCostTableCache",
     "cost_fingerprint",
     "cost_tables",
     "fit_linear",

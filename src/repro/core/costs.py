@@ -57,7 +57,6 @@ __all__ = [
     "CostTableCache",
     "DEFAULT_COST_CACHE",
     "get_default_cost_cache",
-    "set_default_cost_cache",
     "cost_tables",
     "fit_linear",
     "fit_affine",
@@ -488,7 +487,7 @@ def cost_fingerprint(fn: CostFunction) -> Optional[str]:
     """Exact canonical value key of one cost function, or ``None``.
 
     The one cost identity of the package: the plan cache keys requests by
-    it and the shared-memory table tier names its segments by it.
+    it and evicts dependent plans by it.
 
     * Coefficients key by their exact :class:`~fractions.Fraction` value
       (``"lin:1/2"``), so the key is stable across processes and Python
@@ -532,38 +531,45 @@ def cost_fingerprint(fn: CostFunction) -> Optional[str]:
 # Cost-table cache: memoized vectorized tables shared across solver calls.
 # ---------------------------------------------------------------------------
 
-def _build_table(fn: CostFunction, n: int) -> np.ndarray:
-    """Fresh float table of ``fn`` over ``[0, n]``.
+def _cost_row(fn: CostFunction, xs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Float values of ``fn`` at ``xs = [0., 1., …, m]``: its row over ``[0, m]``.
 
-    The analytic classes get an ``out=``-chained construction that avoids the
-    intermediate ``arange`` copy and the extra temporaries of the generic
-    ``fn.many(np.arange(n + 1))`` path — at n=10⁶ the generic path touches
-    five 8 MB buffers per table, which dominates the cold-solve profile.
-
-    Bit-exactness matters here: the results are identical, float for float,
-    to what ``many()`` returns (same multiply-then-add operation order), and
-    the dp-fast analytic pivot inverse relies on re-deriving table entries
-    with the exact same expression.  The type checks are exact (``type is``)
-    so subclasses with overridden ``many`` fall back to the generic path.
+    The one float evaluation of a cost over a contiguous range.  The
+    analytic classes are written into ``out`` (same shape as ``xs``; may
+    be ``xs`` itself) as ``fl(fl(x·rate) + icpt)`` — float for float what
+    ``many()`` returns, without its temporaries, and the expression the
+    dp-fast analytic pivot inverse re-derives entries with.  A long enough
+    :class:`TabulatedCost` is served as a read-only view of its values;
+    every other cost is one ``fn.many`` call (a tabulated cost shorter
+    than ``m + 1`` raises there).  The type checks are exact (``type
+    is``), so subclasses with an overridden ``many`` take the generic
+    path.  Values are prefix-stable: the row over ``[0, m']`` is the
+    first ``m' + 1`` entries of the row over ``[0, m]``.
     """
     kind = type(fn)
     if kind is ZeroCost:
-        return np.zeros(n + 1, dtype=float)
-    if kind is LinearCost:
-        t = np.arange(n + 1, dtype=float)
-        np.multiply(t, fn._rate_float, out=t)
-        return t
-    if kind is AffineCost:
-        t = np.arange(n + 1, dtype=float)
-        np.multiply(t, fn._rate_float, out=t)
-        if fn._icpt_float:
-            t += fn._icpt_float
-        if fn._zero_free:
-            t[0] = 0.0
-        return t
-    if kind is TabulatedCost and fn._float_values.shape[0] >= n + 1:
-        return fn._float_values[: n + 1].copy()
-    return np.ascontiguousarray(fn.many(np.arange(n + 1)), dtype=float)
+        out.fill(0.0)
+        return out
+    if kind is LinearCost or kind is AffineCost:
+        np.multiply(xs, fn._rate_float, out=out)
+        if kind is AffineCost:
+            if fn._icpt_float:
+                out += fn._icpt_float
+            if fn._zero_free:
+                out[0] = 0.0
+        return out
+    m = xs.shape[0] - 1
+    if kind is TabulatedCost and fn._float_values.shape[0] > m:
+        view = fn._float_values[: m + 1]
+        view.setflags(write=False)
+        return view
+    return np.ascontiguousarray(fn.many(np.arange(m + 1)), dtype=float)
+
+
+def _build_table(fn: CostFunction, n: int) -> np.ndarray:
+    """Float table of ``fn`` over ``[0, n]`` (see :func:`_cost_row`)."""
+    xs = np.arange(n + 1, dtype=float)
+    return _cost_row(fn, xs, xs)
 
 
 def scale_cost(cost: CostFunction, factor: Scalar) -> CostFunction:
@@ -612,10 +618,13 @@ class _InFlight:
 class CostTableCache:
     """Memoizes ``fn.many(arange(n + 1))`` tables keyed by cost function.
 
-    Every DP solver starts by tabulating each processor's ``Tcomm``/``Tcomp``
-    over ``[0, n]`` — an O(p·n) rebuild that a sweep, the §3.4 root-selection
-    loop, or the ordering ablation repeats for every solve over the same
-    platform.  This cache makes that step amortized-free: tables are keyed by
+    The paper's Algorithm 1/2 kernels (:mod:`~repro.core.dp_basic`,
+    :mod:`~repro.core.dp_optimized`) and the :mod:`repro.verify.references`
+    cross-checks start by tabulating each processor's ``Tcomm``/``Tcomp``
+    over ``[0, n]`` — an O(p·n) rebuild that a sweep or a verification run
+    repeats for every solve over the same platform.  (dp-fast evaluates
+    its cost rows per solve instead and never touches this cache.)  This
+    cache makes that step amortized-free: tables are keyed by
     the cost-function object (the analytic classes hash by value, so two
     ``LinearCost(0.01)`` instances share one entry; tabulated/callable costs
     key by identity) and stored at the largest ``n`` seen, with smaller
@@ -626,7 +635,7 @@ class CostTableCache:
     key: when N requesters miss on the same function concurrently, exactly
     one tabulates while the others wait on a per-key event and then take
     the hit path (``hits`` counts them as hits-after-wait, never as
-    misses).  Solvers report per-call hit/miss deltas in
+    misses).  The table-driven solvers report per-call hit/miss deltas in
     ``DistributionResult.info["cost_cache"]``.
     """
 
@@ -636,23 +645,10 @@ class CostTableCache:
         self.maxsize = int(maxsize)
         self._tables: "OrderedDict[CostFunction, np.ndarray]" = OrderedDict()
         self._inflight: Dict[CostFunction, _InFlight] = {}
-        self._lock = make_lock(f"{type(self).__name__}._lock")
+        self._lock = make_lock("CostTableCache._lock")
         self.hits = 0
         self.misses = 0
         self.waits = 0
-
-    def _tabulate_miss(self, fn: CostFunction, n: int) -> np.ndarray:
-        """Build the read-only table for a confirmed miss (subclass hook).
-
-        :class:`~repro.core.shared_cache.SharedCostTableCache` overrides
-        this to attach/publish shared-memory segments instead of always
-        computing locally.
-        """
-        note_blocking("CostTableCache.tabulate")
-        arr = _build_table(fn, n)
-        arr.setflags(write=False)
-        METRICS.counter("core.cost_cache.misses").inc()
-        return arr
 
     def table(self, fn: CostFunction, n: int) -> np.ndarray:
         """Float table of ``fn`` over ``[0, n]`` (read-only array view)."""
@@ -681,7 +677,10 @@ class CostTableCache:
             note_blocking("CostTableCache.single_flight_wait")
             flight.event.wait()
         try:
-            arr = self._tabulate_miss(fn, n)
+            note_blocking("CostTableCache.tabulate")
+            arr = _build_table(fn, n)
+            arr.setflags(write=False)
+            METRICS.counter("core.cost_cache.misses").inc()
             with self._lock:
                 self.misses += 1
                 existing = self._tables.get(fn)
@@ -709,19 +708,6 @@ class CostTableCache:
                 "entries": len(self._tables),
             }
 
-    def invalidate(self, fn: CostFunction) -> bool:
-        """Drop the cached table for ``fn``; True if one was present.
-
-        Used by incremental re-planning when a single link's cost function
-        is perturbed: only that function's table is rebuilt, everything
-        else stays warm.  For :class:`SharedCostTableCache` this drops the
-        in-process entry only — shared segments are append-only and keyed
-        by cost *value*, so a perturbed function simply maps to a new
-        segment.
-        """
-        with self._lock:
-            return self._tables.pop(fn, None) is not None
-
     def clear(self) -> None:
         with self._lock:
             self._tables.clear()
@@ -741,31 +727,13 @@ class CostTableCache:
         )
 
 
-#: Process-wide default cache used by the DP solvers.
+#: Process-wide default cache of the table-driven solvers.
 DEFAULT_COST_CACHE = CostTableCache()
-
-#: The *active* default — swappable so a sweep can install a shared-memory
-#: tier (:class:`repro.core.shared_cache.SharedCostTableCache`) for every
-#: solver in the process without threading a ``cache=`` argument everywhere.
-_active_default_cache: CostTableCache = DEFAULT_COST_CACHE
 
 
 def get_default_cost_cache() -> CostTableCache:
     """The cache solvers use when called without an explicit ``cache=``."""
-    return _active_default_cache
-
-
-def set_default_cost_cache(cache: Optional[CostTableCache]) -> CostTableCache:
-    """Swap the process default cost-table cache; returns the previous one.
-
-    ``None`` restores the original :data:`DEFAULT_COST_CACHE`.  Worker
-    initializers use this to point every solver in a pool process at one
-    shared-memory tier.
-    """
-    global _active_default_cache
-    old = _active_default_cache
-    _active_default_cache = DEFAULT_COST_CACHE if cache is None else cache
-    return old
+    return DEFAULT_COST_CACHE
 
 
 def cost_tables(

@@ -53,7 +53,14 @@ argmin per processor — O(p·n) total, and nothing per-``d`` in interpreted
 Python anywhere on the affine path.  All whole-row temporaries live in a
 preallocated :class:`_RowScratch` pack reused across rows: at n = 10⁶ the
 first-touch page faults on fresh 8 MB arrays would otherwise dominate the
-cold-cache run.
+cold run.
+
+Row ``i`` reads processor ``i``'s costs alone, so the kernel keeps no cost
+tables: row ``i`` (and the reconstruction walk at ``P_i``) evaluates
+``Tcomm(i, ·)``/``Tcomp(i, ·)`` into two scratch slots just before use
+(:func:`~repro.core.costs._cost_row` — the analytic classes in closed
+form, tabulated costs as views of their values), and a solve's memory is
+its workspace plus the rows it returns.
 
 Rows whose communication cost is increasing but *not* affine (tabulated
 measurements, piecewise-linear bandwidth knees) fall back to an exact
@@ -73,8 +80,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..obs.profiler import stage_profile
-from .costs import CostFunction, CostTableCache, cost_tables
-from .distribution import DistributionResult, ScatterProblem
+from .costs import CostFunction, _cost_row
+from .distribution import DistributionResult, Processor, ScatterProblem
 
 __all__ = ["solve_dp_fast"]
 
@@ -114,6 +121,8 @@ class _RowScratch:
         "piv",
         "ix",
         "bl",
+        "comm",
+        "comp",
     )
 
     def __init__(self, n: int):
@@ -133,6 +142,17 @@ class _RowScratch:
         self.piv = np.empty(n + 1, dtype=np.int32)  # pivots E(d)
         self.ix = np.empty(n + 1, dtype=np.int32)  # window gather indices
         self.bl = np.empty(n + 1, dtype=bool)
+        self.comm = np.empty(n + 1)  # the current processor's Tcomm row
+        self.comp = np.empty(n + 1)  # the current processor's Tcomp row
+
+    def cost_rows(self, proc: Processor, m: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``proc``'s ``(Tcomm, Tcomp)`` over ``[0, m]``, valid until the
+        next call (analytic costs land in the ``comm``/``comp`` slots)."""
+        xs = self.d_float[: m + 1]
+        return (
+            _cost_row(proc.comm, xs, self.comm[: m + 1]),
+            _cost_row(proc.comp, xs, self.comp[: m + 1]),
+        )
 
 
 class _Workspace:
@@ -447,28 +467,26 @@ def _row_general_values(
 
 def _reconstruct_values(
     rows: List[np.ndarray],
-    comm: List[np.ndarray],
-    comp: List[np.ndarray],
+    procs: Sequence[Processor],
     n: int,
-    p: int,
     s: _RowScratch,
 ) -> Tuple[int, ...]:
     """Recover ``n_1 .. n_p`` from stored row *values* alone.
 
     The fast rows never materialize per-``d`` argmins; the single cell
     visited per processor on the reconstruction walk is re-argmin'ed
-    directly from the tables — one vectorized scan over ``e in [0, d]``
-    per processor, O(p·n) total.
+    directly from that processor's cost rows over ``[0, d]`` — one
+    vectorized scan over ``e in [0, d]`` per processor, O(p·n) total.
     """
     counts = []
     d = n
     chunk = 1 << 16
-    for i in range(p - 1):
+    for i in range(len(procs) - 1):
         if d == 0:
             counts.append(0)
             continue
         nxt = rows[i + 1]
-        comm_i, comp_i = comm[i], comp[i]
+        comm_i, comp_i = s.cost_rows(procs[i], d)
         # Chunked scan with exact early exit: every candidate satisfies
         # cand(e) >= comm_i[e] (the max term is non-negative and float
         # addition of a non-negative term never rounds below its other
@@ -501,7 +519,6 @@ def _reconstruct_values(
 def solve_dp_fast(
     problem: ScatterProblem,
     *,
-    cache: Optional[CostTableCache] = None,
     warm_rows: Optional[Sequence[np.ndarray]] = None,
     collect: Optional[dict] = None,
 ) -> DistributionResult:
@@ -517,16 +534,12 @@ def solve_dp_fast(
 
     Parameters
     ----------
-    cache:
-        Cost-table cache to use (default: the process-wide
-        :data:`~repro.core.costs.DEFAULT_COST_CACHE`).  Per-call hit/miss
-        deltas are reported in ``info["cost_cache"]``.
     warm_rows:
         Optional back-to-front stack of already-computed DP rows
         (``warm_rows[0]`` = the root's base row, ``warm_rows[j]`` = the row
         for the suffix starting at ``P_{p-1-j}``), each of length
         ``n + 1``.  Rows depend only on the *suffix* of processors behind
-        them, and every per-``d`` value is a pure function of table entries
+        them, and every per-``d`` value is a pure function of cost values
         at indices ``<= d`` — so rows computed for a larger instance, served
         here as prefix views, are bit-identical to what a cold solve would
         produce.  The first ``len(warm_rows)`` row computations are skipped
@@ -544,15 +557,7 @@ def solve_dp_fast(
         )
     p, n = problem.p, problem.n
     procs = problem.processors
-
-    from .costs import get_default_cost_cache
-
-    cc = get_default_cost_cache() if cache is None else cache
     prof = stage_profile()
-    before = cc.stats()
-    with prof.stage("cost_tables"):
-        comm, comp = cost_tables(procs, n, cache=cc)
-    after = cc.stats()
 
     warm = list(warm_rows) if warm_rows else []
     k0 = len(warm)
@@ -572,17 +577,19 @@ def solve_dp_fast(
             rows.extend(warm)
             prev = warm[-1]
         else:
-            prev = np.add(comm[p - 1], comp[p - 1], out=rows_buf[0])
+            comm_root, comp_root = s.cost_rows(procs[p - 1], n)
+            prev = np.add(comm_root, comp_root, out=rows_buf[0])
             rows.append(prev)
         for k, i in enumerate(range(p - 2 - max(k0 - 1, 0), -1, -1), start=max(k0, 1)):
+            comm_i, comp_i = s.cost_rows(procs[i], n)
             pivots, maxm, j, d_start, degen = _pivot_staircase(
-                procs[i].comp, comp[i], prev, s
+                procs[i].comp, comp_i, prev, s
             )
             if procs[i].comm.is_affine:
                 rows_affine += 1
                 cur = _row_affine_values(
-                    comm[i],
-                    comp[i],
+                    comm_i,
+                    comp_i,
                     prev,
                     pivots,
                     maxm,
@@ -595,14 +602,14 @@ def solve_dp_fast(
                 )
             else:
                 rows_general += 1
-                rows_buf[k][:] = _row_general_values(comm[i], comp[i], prev, pivots)
+                rows_buf[k][:] = _row_general_values(comm_i, comp_i, prev, pivots)
                 cur = rows_buf[k]
             rows.append(cur)
             prev = cur
 
     with prof.stage("reconstruct"):
         rows.reverse()  # rows[i] = DP values for the suffix starting at P_i
-        counts = _reconstruct_values(rows, comm, comp, n, p, s)
+        counts = _reconstruct_values(rows, procs, n, s)
     if collect is not None:
         # Promote the rows to owned, immutable state: buffer-backed rows
         # live in the thread-local workspace (overwritten by the next
@@ -618,14 +625,7 @@ def solve_dp_fast(
         table_entries=2 * p * (n + 1),
         row_bytes=sum(row.nbytes for row in rows),
     )
-    info = {
-        "rows_affine": rows_affine,
-        "rows_general_scan": rows_general,
-        "cost_cache": {
-            "hits": after["hits"] - before["hits"],
-            "misses": after["misses"] - before["misses"],
-        },
-    }
+    info = {"rows_affine": rows_affine, "rows_general_scan": rows_general}
     if k0:
         info["warm_rows"] = k0
     profile = prof.as_info()

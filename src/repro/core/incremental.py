@@ -13,14 +13,11 @@ the DP kernels' state is largely reusable across those re-plans:
   Removing or perturbing a processor invalidates only the rows *in front
   of* it; everything behind stays bit-identical.
 * **Row values are prefix-stable in** ``n``.  Every per-``d`` entry reads
-  table entries at indices ``<= d`` only, so a row computed at a larger
+  cost values at indices ``<= d`` only, so a row computed at a larger
   ``n``, served as a ``[: n' + 1]`` prefix view, is bit-identical to a
   cold solve at ``n'`` (the dp-fast kernel's analytic-pivot guard takes
   the same branch either way — both branches produce the same exact
   pivots).
-* **Cost tables are value-keyed.**  :class:`~repro.core.costs.CostTableCache`
-  already serves smaller-``n`` requests as prefix views and recognises
-  value-equal analytic costs, so a survivor solve re-tabulates nothing.
 
 :class:`IncrementalPlanner` packages those facts behind the same contract
 as :func:`~repro.core.solver.plan_scatter`: **every plan it returns is
@@ -39,16 +36,15 @@ processor removed at front    everything (reconstruction walk only)
 processor removed at pos. j   rows behind ``j`` (``p - 1 - j`` rows)
 single link (α, β) perturbed  rows behind the perturbed processor
 ``n`` shrinks                 all rows, served as prefix views
-``n`` grows                   cost tables only (rows recomputed — row
-                              extension is not bit-stable, see below)
+``n`` grows                   nothing (rows recomputed — row extension
+                              is not bit-stable, see below)
 platform reordered/replaced   nothing (cold solve, state re-seeded)
 ============================  =========================================
 
 ``n``-growth cannot reuse rows: the window minimum behind ``prev[d - e]``
 shifts with ``d``, so entries above the old ``n`` need the *whole* prior
 row at indices that were never computed.  Growth therefore re-runs the row
-kernels (cost tables stay warm — the cache re-tabulates once at the new
-``n`` and keeps serving prefix views).
+kernels, which evaluate their cost rows per solve anyway.
 
 Routing is :func:`~repro.core.solver.route`, the same call
 :func:`~repro.core.solver.plan_scatter` makes.  Only the flat ``dp-fast``
@@ -67,8 +63,7 @@ Metrics (``repro.obs.metrics.METRICS``):
 
 Stage spans (``incremental_match`` / ``incremental_solve``) land in
 ``result.info["incremental"]["profile"]`` when profiling is enabled, next
-to the kernel's own ``cost_tables`` / ``dp_rows`` / ``reconstruct``
-stages.
+to the kernel's own ``dp_rows`` / ``reconstruct`` stages.
 """
 
 from __future__ import annotations
@@ -81,7 +76,7 @@ import numpy as np
 from ..lint.runtime import make_lock, note_blocking
 from ..obs.metrics import METRICS
 from ..obs.profiler import stage_profile
-from .costs import CostFunction, CostTableCache
+from .costs import CostFunction
 from .distribution import DistributionResult, ScatterProblem
 from .dp_fast import solve_dp_fast
 from .ordering import apply_policy
@@ -120,7 +115,7 @@ def _suffix_match(key: _Key, state_key: _Key) -> int:
 
 @dataclass
 class _SolveState:
-    """Owned, immutable tables from one DP solve, keyed for suffix reuse."""
+    """Owned, immutable DP rows from one solve, keyed for suffix reuse."""
 
     key: _Key
     n: int
@@ -153,11 +148,6 @@ class IncrementalPlanner:
         (keep the caller's order) because re-planning consumers pin the
         processor order to rank order; pass a policy only for standalone
         use.
-    cache:
-        Cost-table cache for the DP routes (a
-        :class:`~repro.core.shared_cache.SharedCostTableCache` plugs in
-        here to share tables across processes).  Defaults to a private
-        :class:`~repro.core.costs.CostTableCache`.
     keep_states:
         How many solve states to retain.  The state with the largest
         ``(n, p)`` is pinned (it warm-starts every nested kill set /
@@ -180,7 +170,6 @@ class IncrementalPlanner:
         *,
         algorithm: str = "auto",
         order_policy: Optional[str] = None,
-        cache: Optional[CostTableCache] = None,
         keep_states: int = 2,
         topology: str = "flat",
     ):
@@ -197,7 +186,6 @@ class IncrementalPlanner:
         self.algorithm = algorithm
         self.order_policy = order_policy
         self.topology = topology
-        self.cache = cache if cache is not None else CostTableCache()
         self.keep_states = int(keep_states)
         self._states: List[_SolveState] = []
         self._lock = make_lock("IncrementalPlanner._lock")
@@ -241,13 +229,9 @@ class IncrementalPlanner:
                 METRICS.counter("core.incremental.state_evictions").inc()
 
     def reset(self) -> None:
-        """Drop all cached solve states (cost tables stay warm)."""
+        """Drop all cached solve states."""
         with self._lock:
             self._states.clear()
-
-    def invalidate_cost(self, fn: CostFunction) -> bool:
-        """Evict one cost function's table from the planner's cache."""
-        return self.cache.invalidate(fn)
 
     def stats(self) -> Dict[str, int]:
         with self._lock:
@@ -299,10 +283,7 @@ class IncrementalPlanner:
         note_blocking("IncrementalPlanner.solve")
         with prof.stage("incremental_solve"):
             result = solve_dp_fast(
-                problem,
-                cache=self.cache,
-                warm_rows=warm_rows,
-                collect=collected,
+                problem, warm_rows=warm_rows, collect=collected
             )
         self._store(_SolveState(key=key, n=n, rows=collected["rows"]))
         reused = depth if warm_rows is not None else 0

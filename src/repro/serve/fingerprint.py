@@ -28,9 +28,8 @@ Canonicalization rules (the equal-value ⟹ equal-key contract):
   arbitrary Python — no value identity, so :func:`problem_fingerprint`
   returns ``None`` and the serve layer solves it uncached.
 
-``cost_fingerprint`` lives in :mod:`repro.core.costs` because the
-shared-memory table tier names its segments with the same key; this
-module re-exports it.
+``cost_fingerprint`` lives in :mod:`repro.core.costs`, next to the cost
+classes it keys; this module re-exports it.
 """
 
 from __future__ import annotations

@@ -20,10 +20,11 @@ that applies:
 Misses solve through an :class:`~repro.core.incremental.IncrementalPlanner`
 (``order_policy=None`` — the service already normalized), so a TTL expiry
 or an explicit :meth:`PlanService.invalidate_cost` re-plans *warm*: the
-planner retains DP rows behind the changed processor and recomputes only
-the invalidated prefix, instead of the cache eviction forcing a full cold
-solve.  Every returned plan is therefore byte-identical to a cold
-:func:`~repro.core.solver.plan_scatter` of the same normalized problem.
+planner reuses the retained DP rows behind the changed processor and
+recomputes only the prefix in front of it, instead of the cache eviction
+forcing a full cold solve.  Every returned plan is therefore
+byte-identical to a cold :func:`~repro.core.solver.plan_scatter` of the
+same normalized problem.
 
 Executor matrix (see ``docs/api.md``)::
 
@@ -32,10 +33,11 @@ Executor matrix (see ``docs/api.md``)::
     backend="process"     ParallelSweepEvaluator process pool
                           (analytic costs only — requests must pickle;
                           solves are cold plan_scatter in the workers)
-    executor=...          any caller-owned SweepEvaluator, e.g.
-                          ParallelSweepEvaluator(cache_tier="shared")
+    executor=...          any caller-owned SweepEvaluator
 
-Metrics (``repro.obs.metrics.METRICS``):
+Metrics (``repro.obs.metrics.METRICS``, process-wide — every service in
+the process feeds them; :meth:`PlanService.stats` reports this service's
+own traffic only):
 
 * ``serve.requests`` / ``serve.errors`` — submissions and failed solves;
 * ``serve.coalesced`` — requests that joined an in-flight solve;
@@ -198,10 +200,9 @@ class PlanService:
         still coalesce).
     executor:
         A caller-owned :class:`~repro.analysis.sweep.SweepEvaluator`
-        (not closed by the service), e.g.
-        ``ParallelSweepEvaluator(cache_tier="shared")``.  Mutually
-        exclusive with ``backend``/``workers``/``cache_tier``, which
-        build a service-owned evaluator instead.
+        (not closed by the service).  Mutually exclusive with
+        ``backend``/``workers``, which build a service-owned evaluator
+        instead.
     backend:
         ``"sequential"`` (default), ``"thread"``, or ``"process"``.
     planner:
@@ -227,7 +228,6 @@ class PlanService:
         executor: Optional[SweepEvaluator] = None,
         backend: str = "sequential",
         workers: Optional[int] = None,
-        cache_tier: str = "process",
         planner: Optional[Any] = None,
         time_fn: Optional[Callable[[], float]] = None,
     ) -> None:
@@ -257,14 +257,17 @@ class PlanService:
             self._executor = SequentialSweepEvaluator()
             self._owns_executor = True
         else:
-            self._executor = ParallelSweepEvaluator(
-                workers, backend=backend, cache_tier=cache_tier
-            )
+            self._executor = ParallelSweepEvaluator(workers, backend=backend)
             self._owns_executor = True
         self._lock = make_lock("PlanService._lock")
         self._inflight: Dict[str, _Flight] = {}
         self._closed = False
-        self._latency = METRICS.histogram("serve.latency_s", LATENCY_BUCKETS)
+        # Per-service counters behind stats(), guarded by ``_lock``; the
+        # process-wide METRICS instruments are fed alongside.
+        self._latency = Histogram("serve.latency_s", LATENCY_BUCKETS)
+        self._all_latency = METRICS.histogram("serve.latency_s", LATENCY_BUCKETS)
+        self._coalesced = 0
+        self._queue_depth = 0
 
     # -- submission ------------------------------------------------------
     def submit(self, problem: ScatterProblem) -> PlanTicket:
@@ -296,6 +299,7 @@ class PlanService:
             flight = self._inflight.get(fp.key)
             if flight is not None:
                 ticket.coalesced = True
+                self._coalesced += 1
                 METRICS.counter("serve.coalesced").inc()
                 flight.tickets.append(ticket)
                 return ticket
@@ -312,6 +316,8 @@ class PlanService:
     # -- solving ---------------------------------------------------------
     def _dispatch(self, ordered: ScatterProblem,
                   fp: Optional[Fingerprint], flight: _Flight) -> None:
+        with self._lock:
+            self._queue_depth += 1
         METRICS.gauge("serve.queue_depth").inc()
 
         def on_done(result: DistributionResult) -> None:
@@ -356,7 +362,10 @@ class PlanService:
                 cost_keys=fp.cost_keys if fp is not None else frozenset(),
                 tree_info=tree_info,
             )
+        if error is not None:
+            METRICS.counter("serve.errors").inc()
         with self._lock:
+            self._queue_depth -= 1
             if fp is not None:
                 if plan is not None:
                     # Store before un-registering the flight so a request
@@ -365,18 +374,18 @@ class PlanService:
                     self.cache.put(fp.key, plan, self._time())
                 if self._inflight.get(fp.key) is flight:
                     del self._inflight[fp.key]
-            tickets = list(flight.tickets)
-        if error is not None:
-            METRICS.counter("serve.errors").inc()
-        for ticket in tickets:
-            if error is not None:
-                ticket._resolve(None, error)
-            else:
-                self._finish(ticket, plan)
+            for ticket in flight.tickets:
+                if error is not None:
+                    ticket._resolve(None, error)
+                else:
+                    self._finish(ticket, plan)
 
     def _finish(self, ticket: PlanTicket, plan: Optional[CachedPlan]) -> None:
+        """Resolve ``ticket`` and record its latency (holds ``_lock``)."""
         ticket._resolve(plan)
-        self._latency.observe(max(self._time() - ticket._t0, 0.0))
+        latency = max(self._time() - ticket._t0, 0.0)
+        self._latency.observe(latency)
+        self._all_latency.observe(latency)
 
     # -- invalidation ----------------------------------------------------
     def invalidate(self, problem: ScatterProblem) -> bool:
@@ -392,36 +401,32 @@ class PlanService:
     def invalidate_cost(self, fn: Any) -> int:
         """A cost function's coefficients changed: evict dependent plans.
 
-        Evicts every cached plan whose instance used ``fn`` (by value)
-        and drops the function's table from the planner's cost cache.
-        The next request for an affected platform re-solves through the
-        incremental planner, which warm-starts from the DP rows behind
-        the changed processor — invalidation costs O(change), not a cold
-        solve.
+        Evicts every cached plan whose instance used ``fn`` (by value);
+        returns how many.  The next request for an affected platform
+        re-solves through the incremental planner, which warm-starts from
+        the DP rows behind the changed processor — invalidation costs
+        O(change), not a cold solve.  The planner needs no hook: it
+        matches its retained rows by cost, so a changed cost never
+        matches them.
         """
-        evicted = self.cache.invalidate_cost(cost_fingerprint(fn))
-        invalidate = getattr(self.planner, "invalidate_cost", None)
-        if invalidate is not None:
-            invalidate(fn)
-        return evicted
+        return self.cache.invalidate_cost(cost_fingerprint(fn))
 
     # -- introspection / lifecycle ---------------------------------------
     def stats(self) -> Dict[str, Any]:
-        """Service counters: cache, coalescing, queue depth, latency."""
+        """This service's counters: cache, coalescing, queue depth, latency."""
         cache = self.cache.stats()
         lookups = cache["hits"] + cache["misses"]
         with self._lock:
-            inflight = len(self._inflight)
-        return {
-            "cache": cache,
-            "hit_rate": (cache["hits"] / lookups) if lookups else 0.0,
-            "inflight": inflight,
-            "queue_depth": METRICS.gauge("serve.queue_depth").value,
-            "coalesced": METRICS.counter("serve.coalesced").value,
-            "latency_p50_s": histogram_quantile(self._latency, 0.50),
-            "latency_p99_s": histogram_quantile(self._latency, 0.99),
-            "latency_count": self._latency.count,
-        }
+            return {
+                "cache": cache,
+                "hit_rate": (cache["hits"] / lookups) if lookups else 0.0,
+                "inflight": len(self._inflight),
+                "queue_depth": self._queue_depth,
+                "coalesced": self._coalesced,
+                "latency_p50_s": histogram_quantile(self._latency, 0.50),
+                "latency_p99_s": histogram_quantile(self._latency, 0.99),
+                "latency_count": self._latency.count,
+            }
 
     def close(self) -> None:
         """Stop accepting requests; close a service-owned executor."""

@@ -137,26 +137,15 @@ class TestEvaluators:
         ev.close()
         assert ev.map(lambda x: x, [5]) == [5]
 
-    def test_unknown_cache_tier_rejected(self):
-        with pytest.raises(ValueError, match="cache_tier"):
-            ParallelSweepEvaluator(2, cache_tier="l4")
-
 
 def _makespan_at(n):
-    """Module-level (picklable) DP solve — exercises the cost-table cache."""
-    from repro.core.dp_fast import solve_dp_fast
+    """Module-level (picklable) dp-fast solve through a fresh planner,
+    which bumps ``core.incremental.rows_computed`` once per DP row."""
+    from repro.core.incremental import IncrementalPlanner
     from repro.workloads.table1 import table1_problem
 
-    return solve_dp_fast(table1_problem(n)).makespan
-
-
-def _shm_entries(prefix):
-    import os
-
-    try:
-        return [f for f in os.listdir("/dev/shm") if f.startswith(prefix)]
-    except OSError:  # pragma: no cover - non-Linux
-        return []
+    planner = IncrementalPlanner(algorithm="dp-fast")
+    return planner.plan(table1_problem(n)).makespan
 
 
 class TestProcessPoolMetrics:
@@ -164,62 +153,17 @@ class TestProcessPoolMetrics:
 
     def test_worker_metrics_merged_into_parent(self):
         from repro.obs.metrics import METRICS
+        from repro.workloads.table1 import table1_problem
 
-        misses = METRICS.counter("core.cost_cache.misses")
-        m0 = misses.value
+        rows = METRICS.counter("core.incremental.rows_computed")
+        r0 = rows.value
         with ParallelSweepEvaluator(2, backend="process") as ev:
             vals = ev.map(_makespan_at, [500, 600, 700, 800])
+        r1 = rows.value
         assert vals == [_makespan_at(n) for n in [500, 600, 700, 800]]
-        # Each worker solve tabulates p=5 link + p=5 compute tables in its
-        # own process; all four items' deltas must land here.
-        assert misses.value - m0 >= 4 * 10
-
-    def test_shared_tier_values_and_metrics(self):
-        from repro.core.costs import DEFAULT_COST_CACHE, get_default_cost_cache
-        from repro.obs.metrics import METRICS
-
-        ns_prefix = "rsweep"
-        sizes = [500, 600, 700, 800]
-        seq = [_makespan_at(n) for n in sizes]
-        shared_events = METRICS.counter("core.cost_cache.shared.hits")
-        published = METRICS.counter("core.cost_cache.shared.misses")
-        h0, p0 = shared_events.value, published.value
-        with ParallelSweepEvaluator(
-            2, backend="process", cache_tier="shared"
-        ) as ev:
-            assert get_default_cost_cache() is ev._shared_cache
-            # Publish from the parent first: workers then *attach* to these
-            # segments instead of re-deriving the tables (their local LRUs
-            # start empty, so the hit must come from the shared tier).
-            assert _makespan_at(sizes[0]) == seq[0]
-            par = ev.map(_makespan_at, sizes)
-        assert par == seq
-        # Every table went through the shared tier exactly once...
-        assert published.value - p0 >= 1
-        # ...and at least one worker attached instead of rebuilding.
-        assert shared_events.value - h0 >= 1
-        # Close restores the default tier and unlinks every segment.
-        assert get_default_cost_cache() is DEFAULT_COST_CACHE
-        assert _shm_entries(ns_prefix) == []
-
-    def test_shared_tier_with_thread_backend(self):
-        from repro.core.costs import DEFAULT_COST_CACHE, get_default_cost_cache
-
-        sizes = [300, 400]
-        seq = [_makespan_at(n) for n in sizes]
-        with ParallelSweepEvaluator(2, backend="thread", cache_tier="shared") as ev:
-            assert ev._shared_cache is not None
-            assert ev.map(_makespan_at, sizes) == seq
-        assert get_default_cost_cache() is DEFAULT_COST_CACHE
-
-    def test_sweep_values_identical_under_shared_tier(self):
-        spreads = [1.0, 4.0, 8.0]
-        seq = heterogeneity_sweep(spreads, p=6, n=2000)
-        with ParallelSweepEvaluator(
-            2, backend="process", cache_tier="shared"
-        ) as ev:
-            par = heterogeneity_sweep(spreads, p=6, n=2000, evaluator=ev)
-        assert seq == par
+        # Each worker solve computes every one of the p DP rows in its own
+        # process; all four items' deltas must land here.
+        assert r1 - r0 == 4 * table1_problem(500).p
 
 
 def _boom(_):
@@ -227,67 +171,22 @@ def _boom(_):
 
 
 class TestEvaluatorExceptionSafety:
-    """A crashing evaluation must not leak shm segments or cache state."""
+    """A crashing evaluation propagates, and the context exit still
+    closes the pool."""
 
-    def test_map_crash_inside_context_leaves_no_segments(self):
-        from repro.core.costs import DEFAULT_COST_CACHE, get_default_cost_cache
-
-        ns = None
+    def test_process_backend_crash_inside_context(self):
         with pytest.raises(RuntimeError, match="injected"):
-            with ParallelSweepEvaluator(
-                2, backend="process", cache_tier="shared"
-            ) as ev:
-                ns = ev._shared_cache.namespace
-                ev.map(_makespan_at, [300])  # publish at least one segment
-                assert _shm_entries(ns + "_")
+            with ParallelSweepEvaluator(2, backend="process") as ev:
+                ev.map(_makespan_at, [300])
                 ev.map(_boom, [1, 2, 3])
-        assert _shm_entries(ns + "_") == []
-        assert get_default_cost_cache() is DEFAULT_COST_CACHE
+        assert ev._pool is None  # the context exit closed the pool
 
     def test_thread_backend_crash_inside_context(self):
-        from repro.core.costs import DEFAULT_COST_CACHE, get_default_cost_cache
-
         with pytest.raises(RuntimeError, match="injected"):
-            with ParallelSweepEvaluator(
-                2, backend="thread", cache_tier="shared"
-            ) as ev:
-                ns = ev._shared_cache.namespace
+            with ParallelSweepEvaluator(2, backend="thread") as ev:
                 ev.map(_makespan_at, [300])
                 ev.map(_boom, [1])
-        assert _shm_entries(ns + "_") == []
-        assert get_default_cost_cache() is DEFAULT_COST_CACHE
-
-    def test_pool_creation_failure_restores_cache_and_segments(self, monkeypatch):
-        import repro.analysis.sweep as sweep_mod
-        from repro.core.costs import DEFAULT_COST_CACHE, get_default_cost_cache
-
-        def exploding_pool(*args, **kwargs):
-            raise MemoryError("injected pool failure")
-
-        monkeypatch.setattr(sweep_mod, "ThreadPool", exploding_pool)
-        with pytest.raises(MemoryError, match="injected pool"):
-            ParallelSweepEvaluator(2, backend="thread", cache_tier="shared")
-        assert get_default_cost_cache() is DEFAULT_COST_CACHE
-        assert _shm_entries("rsweep") == []
-
-    def test_dropped_evaluator_finalizer_unlinks_segments(self):
-        import gc
-
-        ev = ParallelSweepEvaluator(2, backend="thread", cache_tier="shared")
-        ns = ev._shared_cache.namespace
-        ev.map(_makespan_at, [300])
-        assert _shm_entries(ns + "_")
-        fin = ev._finalizer
-        del ev
-        gc.collect()
-        assert not fin.alive
-        assert _shm_entries(ns + "_") == []
-        # The default-cache swap is NOT undone by the GC backstop (that
-        # would yank the tier out from under unrelated threads); restore
-        # it here to keep the test process clean.
-        from repro.core.costs import set_default_cost_cache
-
-        set_default_cost_cache(None)
+        assert ev._pool is None
 
 
 class TestEvaluatorSubmit:
@@ -336,12 +235,10 @@ class TestEvaluatorSubmit:
         import threading
 
         done = threading.Event()
-        hits = METRICS.counter("core.cost_cache.hits")
-        misses = METRICS.counter("core.cost_cache.misses")
-        t0 = hits.value + misses.value
+        rows = METRICS.counter("core.incremental.rows_computed")
+        r0 = rows.value
         with ParallelSweepEvaluator(2, backend="process") as ev:
             ev.submit(_makespan_at, 500, callback=lambda r: done.set())
             assert done.wait(timeout=60)
-        # The worker's table lookups (hits against the fork-inherited
-        # cache, or misses on a cold one) surfaced in the parent.
-        assert hits.value + misses.value > t0
+        # The worker's DP rows surfaced in the parent.
+        assert rows.value > r0

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.core.costs import CostFunction, CostTableCache, LinearCost
-from repro.core.shared_cache import SharedCostTableCache
 
 
 class CountingCost(CostFunction):
@@ -162,21 +161,3 @@ class TestSingleFlight:
         cache.table(c, 10)  # evicts a (maxsize=2)
         stats = cache.stats()
         assert stats == {"hits": 1, "misses": 3, "waits": 0, "entries": 2}
-
-    def test_shared_cache_stampede_single_build_single_segment(self):
-        cache = SharedCostTableCache(namespace="rsfsf1")
-        try:
-            fn = CountingCost(0.5)
-            results, errors = _stampede(cache, fn, 3_000, k=16)
-            assert errors == []
-            assert fn.builds == 1
-            for r in results:
-                np.testing.assert_array_equal(r, 0.5 * np.arange(3_001))
-            # CountingCost has no stable key, so nothing was published —
-            # the point is the inherited single-flight still applies.
-            assert cache.shared_stats()["created"] == 0
-            lin = LinearCost(0.5)
-            cache.table(lin, 3_000)
-            assert cache.shared_stats()["created"] == 1
-        finally:
-            cache.unlink_all()

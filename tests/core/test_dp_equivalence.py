@@ -106,11 +106,11 @@ class TestCostTableCache:
         prob = random_affine_problem(rng, 5, 120)
         cache = CostTableCache()
 
-        first = solve_dp_fast(prob, cache=cache)
+        first = solve_dp_optimized(prob, cache=cache)
         assert first.info["cost_cache"]["misses"] == 2 * prob.p
         assert first.info["cost_cache"]["hits"] == 0
 
-        second = solve_dp_fast(prob, cache=cache)
+        second = solve_dp_optimized(prob, cache=cache)
         assert second.info["cost_cache"]["hits"] == 2 * prob.p
         assert second.info["cost_cache"]["misses"] == 0
         assert second.makespan == first.makespan

@@ -97,7 +97,11 @@ class TestSolverIntegration:
         }[solver_name]
         result = solver(self.problem())
         profile = result.info["profile"]
-        assert set(profile["stages_s"]) >= {"cost_tables", "dp_rows", "reconstruct"}
+        if solver_name == "fast":
+            # dp-fast evaluates its cost rows inside its row and walk stages.
+            assert set(profile["stages_s"]) == {"dp_rows", "reconstruct"}
+        else:
+            assert set(profile["stages_s"]) >= {"cost_tables", "dp_rows", "reconstruct"}
         assert profile["total_s"] >= 0.0
         assert profile["table_entries"] > 0
 

@@ -74,9 +74,20 @@ class TestCostFingerprint:
     def test_callable_has_no_fingerprint(self):
         assert cost_fingerprint(CallableCost(lambda x: 0.1 * x)) is None
 
+    def test_kinds_distinct(self):
+        keys = {
+            cost_fingerprint(ZeroCost()),
+            cost_fingerprint(LinearCost(0.25)),
+            cost_fingerprint(AffineCost(0.25, 1.5)),
+            cost_fingerprint(TabulatedCost([0.0, 1.0, 2.5])),
+            cost_fingerprint(PiecewiseLinearCost([(0, 0), (100, 25)])),
+        }
+        assert len(keys) == 5
+        assert None not in keys
+
     def test_serve_reexports_the_core_cost_identity(self):
-        # One cost identity: the plan cache and the shared table tier
-        # both key costs by repro.core.costs.cost_fingerprint.
+        # One cost identity: the plan cache keys and evicts by
+        # repro.core.costs.cost_fingerprint.
         assert cost_fingerprint is core_cost_fingerprint
 
 

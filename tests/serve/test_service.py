@@ -1,7 +1,9 @@
 """PlanService concurrency suite: stampede, coalescing, oracles, warm re-plans."""
 
+import gc
 import random
 import threading
+import tracemalloc
 
 import pytest
 
@@ -15,8 +17,10 @@ from repro.core import (
 )
 from repro.core.costs import CallableCost, LinearCost
 from repro.analysis.sweep import ParallelSweepEvaluator, SequentialSweepEvaluator
+from repro.obs.metrics import METRICS
 from repro.serve import PlanService
 from repro.verify.oracles import run_oracles
+from repro.workloads import random_affine_problem
 
 
 def _linear_problem(p=4, n=1_000, seed=3):
@@ -63,9 +67,6 @@ class GatedPlanner:
         if self.gate is not None:
             assert self.gate.wait(timeout=30)
         return self.inner.plan(problem)
-
-    def invalidate_cost(self, fn):
-        return self.inner.invalidate_cost(fn)
 
     def stats(self):
         return self.inner.stats()
@@ -114,37 +115,6 @@ class TestStampede:
             assert coalesced + cached == 15
             assert coalesced >= 1
 
-    def test_stampede_single_cost_tabulation(self):
-        # End-to-end view of the CostTableCache single-flight: K=16
-        # concurrent identical dp-fast requests tabulate each distinct
-        # cost exactly once (the plan itself solves once, and the solve
-        # misses once per distinct cost function).
-        problem = _knee_problem()
-        planner = GatedPlanner()
-        cache = planner.inner.cache
-        with PlanService(planner=planner, backend="thread", workers=4) as svc:
-            barrier = threading.Barrier(16)
-            tickets = [None] * 16
-
-            def worker(i):
-                barrier.wait(timeout=30)
-                tickets[i] = svc.submit(problem)
-
-            threads = [
-                threading.Thread(target=worker, args=(i,)) for i in range(16)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-            for t in tickets:
-                t.result(timeout=60)
-        distinct_costs = len(
-            {id(fn) for proc in problem.processors for fn in (proc.comm, proc.comp)}
-        )
-        assert planner.calls == 1
-        assert cache.stats()["misses"] <= distinct_costs
-
 
 class TestCoalescingPerBackend:
     def _run_gated(self, svc, planner, gate, problem, extra=7):
@@ -165,13 +135,13 @@ class TestCoalescingPerBackend:
         with PlanService(planner=planner, backend="thread", workers=2) as svc:
             self._run_gated(svc, planner, gate, _linear_problem())
 
-    def test_caller_owned_shared_tier_executor(self):
+    def test_caller_owned_executor(self):
         gate = threading.Event()
         planner = GatedPlanner(gate)
-        with ParallelSweepEvaluator(2, backend="thread",
-                                    cache_tier="shared") as ev:
+        with ParallelSweepEvaluator(2, backend="thread") as ev:
             with PlanService(planner=planner, executor=ev) as svc:
                 self._run_gated(svc, planner, gate, _knee_problem())
+            assert ev._pool is not None  # the service never closes it
 
     def test_sequential_backend_coalesces_across_threads(self):
         # Inline solving still single-flights: submitters racing the
@@ -346,3 +316,61 @@ class TestServiceLifecycle:
         assert stats["latency_count"] >= 2
         assert stats["latency_p50_s"] is not None
         assert stats["latency_p99_s"] is not None
+
+
+class TestStatsArePerService:
+    def test_two_services_report_only_their_own_traffic(self):
+        problem = _linear_problem()
+        gate = threading.Event()
+        planner = GatedPlanner(gate)
+        all_coalesced = METRICS.counter("serve.coalesced")
+        c0 = all_coalesced.value
+        with PlanService(planner=planner, backend="thread", workers=2) as busy, \
+                PlanService() as fresh:
+            first = busy.submit(problem)
+            assert planner.started.wait(timeout=30)
+            joined = busy.submit(problem)
+            assert joined.coalesced
+            assert busy.stats()["queue_depth"] == 1
+            assert fresh.stats()["queue_depth"] == 0
+            gate.set()
+            first.result(timeout=60)
+            joined.result(timeout=60)
+            assert busy.submit(problem).cached
+
+            idle = fresh.stats()
+            assert idle["latency_count"] == 0
+            assert idle["latency_p50_s"] is None
+            assert idle["coalesced"] == 0
+            fresh.plan(problem)
+            assert fresh.stats()["latency_count"] == 1
+            served = busy.stats()
+            assert served["latency_count"] == 3
+            assert served["coalesced"] == 1
+            assert served["queue_depth"] == 0
+        # The process-wide instruments are still fed.
+        assert all_coalesced.value == c0 + 1
+
+
+class TestServingMemory:
+    """Nothing a solve builds outlives it except the planner's bounded
+    row states and the reused solver workspace: serving more distinct
+    platforms does not grow memory."""
+
+    @pytest.mark.parametrize("platform, n", [
+        (lambda seed, n: random_affine_problem(random.Random(seed), 8, n), 50_000),
+        # Knee rows take the general scan (~10 s a solve at n=50,000).
+        (lambda seed, n: _knee_problem(p=8, n=n, seed=seed), 5_000),
+    ], ids=["affine", "knee"])
+    def test_memory_bounded_by_one_solve(self, platform, n):
+        traced = []
+        tracemalloc.start()
+        try:
+            with PlanService(algorithm="dp-fast") as svc:
+                for seed in range(6):
+                    svc.plan(platform(seed, n))
+                    gc.collect()
+                    traced.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert abs(traced[5] - traced[2]) <= 0.10 * traced[2], traced
