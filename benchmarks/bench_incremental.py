@@ -62,10 +62,9 @@ from repro.core import (
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH_PATH = os.path.join(REPO_ROOT, "BENCH_incremental.json")
 
-#: Workload sizes for the churn ladder.  A cold dp-fast solve at n=1e5
-#: already takes tens of seconds on one core; larger rungs (1e6+) are
-#: reachable standalone via ``--sizes`` but deliberately excluded from
-#: the default ladder so the slow-tier emitter stays minutes, not hours.
+#: Workload sizes for the churn ladder.  Larger rungs (1e6+) are
+#: reachable standalone via ``--sizes``; the default ladder keeps the
+#: slow-tier emitter short.
 SIZES = (10_000, 100_000)
 
 #: Cumulative death counts measured at each size.

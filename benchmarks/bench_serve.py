@@ -18,9 +18,10 @@ Two entry points:
 
 * ``python benchmarks/bench_serve.py [--requests N]`` — standalone;
 * ``pytest benchmarks/bench_serve.py`` — the emitter as a ``slow``
-  benchmark with the ≥ 50× speedup assertion at the 95% mix, plus a
-  ``bench``-marked nightly gate failing on >2× regression vs the
-  committed JSON.
+  benchmark asserting that the 95% mix serves ≥ 5× the plans/sec of the
+  0% mix in the same run (what the plan cache buys, independent of how
+  fast the solver behind it is), plus a ``bench``-marked nightly gate
+  failing on >2× regression vs the committed JSON.
 
 JSON layout (``schema: bench-serve/v1``)::
 
@@ -239,15 +240,21 @@ def _render(payload: dict) -> str:
 
 @pytest.mark.slow
 def bench_serve(report):
-    """Emitter benchmark: byte-match everywhere + the ≥ 50× 95%-mix gate."""
+    """Emitter benchmark: byte-match everywhere + the 95%-vs-0% mix gate.
+
+    The gate compares served rates within one run: the 95% mix must
+    serve ≥ 5× the plans/sec of the 0% mix.  (The speedup over cold
+    solves is recorded but not gated: it shrinks whenever the solver
+    itself gets faster.)
+    """
     payload = run_serve_bench()
 
     for row in payload["mixes"]:
         assert row["byte_match"], row
 
     by_mix = {row["repeat_fraction"]: row for row in payload["mixes"]}
-    hot = by_mix[0.95]
-    assert hot["speedup"] >= 50.0, hot
+    hot, churn = by_mix[0.95], by_mix[0.0]
+    assert hot["cached_plans_per_s"] >= 5.0 * churn["cached_plans_per_s"], (hot, churn)
 
     report("serve", _render(payload) + f"\nwrote {BENCH_PATH}")
 

@@ -17,7 +17,6 @@ palette; no external resources are referenced, so the files open anywhere.
 from __future__ import annotations
 
 from typing import List, Optional, Sequence
-from xml.sax.saxutils import escape
 
 from ..simgrid.trace import STATES, TraceRecorder
 
@@ -37,6 +36,16 @@ _TEXT = "#222222"
 _FONT = "font-family='Helvetica,Arial,sans-serif'"
 
 
+def _escape(text: str) -> str:
+    """XML-escape ``&``, ``<`` and ``>`` in character data.
+
+    The same mapping as ``xml.sax.saxutils.escape``, which is not used
+    because importing it loads ``urllib.request`` (and with it ``http``,
+    ``ssl`` and ``email``) into every process that imports this package.
+    """
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _header(width: int, height: int, title: str) -> List[str]:
     return [
         "<?xml version='1.0' encoding='UTF-8'?>",
@@ -44,7 +53,7 @@ def _header(width: int, height: int, title: str) -> List[str]:
         f"height='{height}' viewBox='0 0 {width} {height}'>",
         f"<rect width='{width}' height='{height}' fill='white'/>",
         f"<text x='{width // 2}' y='22' text-anchor='middle' {_FONT} "
-        f"font-size='15' fill='{_TEXT}'>{escape(title)}</text>",
+        f"font-size='15' fill='{_TEXT}'>{_escape(title)}</text>",
     ]
 
 
@@ -77,7 +86,7 @@ def figure_svg(
         data_w = cnt / max_count * plot_w
         out.append(
             f"<text x='{left - 8}' y='{y + 13}' text-anchor='end' {_FONT} "
-            f"font-size='11' fill='{_TEXT}'>{escape(str(name))}</text>"
+            f"font-size='11' fill='{_TEXT}'>{_escape(str(name))}</text>"
         )
         # Data amount (thin background bar, the figures' second series).
         out.append(
@@ -125,7 +134,7 @@ def figure_svg(
         )
         out.append(
             f"<text x='{lx + 14}' y='{axis_y + 31}' {_FONT} font-size='10' "
-            f"fill='{_TEXT}'>{escape(label)}</text>"
+            f"fill='{_TEXT}'>{_escape(label)}</text>"
         )
         lx += 20 + 7 * len(label)
     out.append("</svg>")
@@ -152,7 +161,7 @@ def gantt_svg(
         y = top + k * row_h
         out.append(
             f"<text x='{left - 8}' y='{y + 13}' text-anchor='end' {_FONT} "
-            f"font-size='11' fill='{_TEXT}'>{escape(str(name))}</text>"
+            f"font-size='11' fill='{_TEXT}'>{_escape(str(name))}</text>"
         )
         out.append(
             f"<rect x='{left}' y='{y + 2}' width='{plot_w}' height='14' "
@@ -188,7 +197,7 @@ def gantt_svg(
         )
         out.append(
             f"<text x='{lx + 14}' y='{axis_y + 31}' {_FONT} font-size='10' "
-            f"fill='{_TEXT}'>{escape(state)}</text>"
+            f"fill='{_TEXT}'>{_escape(state)}</text>"
         )
         lx += 26 + 7 * len(state)
     out.append("</svg>")

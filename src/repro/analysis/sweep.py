@@ -17,7 +17,6 @@ import math
 import os
 import random
 from dataclasses import dataclass
-from multiprocessing.pool import Pool, ThreadPool
 from typing import Any, Callable, Iterable, List, Optional, Sequence, TypeVar
 
 from ..core.distribution import Processor, ScatterProblem, uniform_counts
@@ -147,6 +146,10 @@ class ParallelSweepEvaluator(SweepEvaluator):
         self.backend = backend
         self._pool: Optional[Any] = None
         if self.workers > 1:
+            # Imported here: multiprocessing.pool weighs ~1.4 MiB, and every
+            # process that imports repro.serve would pay it otherwise.
+            from multiprocessing.pool import Pool, ThreadPool
+
             try:
                 if backend == "thread":
                     self._pool = ThreadPool(self.workers)

@@ -436,9 +436,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return 0
 
     differential = args.mode in ("incremental", "tree")
-    # A focused run (--oracle, or a differential mode) skips the mutation
-    # smoke-check and golden comparison.
-    focused = bool(args.oracle) or differential
+    # A focused run (--oracle, --shape, or a differential mode) skips the
+    # mutation smoke-check and golden comparison.
+    focused = bool(args.oracle) or bool(args.shape) or differential
     try:
         if differential:
             if args.oracle:
@@ -449,13 +449,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 )
                 return 2
             if args.mode == "incremental":
-                outcome = fuzz_incremental(args.seeds, base_seed=args.base_seed)
+                outcome = fuzz_incremental(
+                    args.seeds, base_seed=args.base_seed, shapes=args.shape
+                )
             else:
-                outcome = fuzz_tree(args.seeds, base_seed=args.base_seed)
+                outcome = fuzz_tree(
+                    args.seeds, base_seed=args.base_seed, shapes=args.shape
+                )
         else:
             outcome = fuzz(
                 args.seeds,
                 base_seed=args.base_seed,
+                shapes=args.shape,
                 only_oracles=args.oracle or None,
                 guided=args.guided,
             )
@@ -767,6 +772,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_vf.add_argument(
         "--oracle", action="append", metavar="ID",
         help="fuzz only this oracle id (repeatable; skips mutation/golden)",
+    )
+    p_vf.add_argument(
+        "--shape", action="append", metavar="NAME",
+        help="draw only this instance shape, e.g. 'knee' (repeatable; "
+        "round-robin over the given shapes; skips mutation/golden; "
+        "shapes: repro.verify.fuzz.SHAPES)",
     )
     p_vf.add_argument(
         "--json", action="store_true", help="emit the full report as JSON"

@@ -29,7 +29,6 @@ exact simplex backend consume.  Float evaluation goes through
 
 from __future__ import annotations
 
-import hashlib
 import math
 import threading
 from collections import OrderedDict
@@ -39,6 +38,13 @@ from numbers import Rational
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+
+try:  # The interpreter's builtin SHA-1, as the stdlib's ``random`` uses its
+    # builtin SHA-512: ``hashlib`` would load OpenSSL (~3.5 MiB of RSS) into
+    # every process that fingerprints a request.
+    from _sha1 import sha1 as _sha1
+except ImportError:  # pragma: no cover - interpreters without the builtin
+    from hashlib import sha1 as _sha1
 
 from ..lint.runtime import make_lock, note_blocking
 from ..obs.metrics import METRICS
@@ -343,7 +349,7 @@ class TabulatedCost(CostFunction):
     the table must cover ``[0, n]`` for an ``n``-item problem.
     """
 
-    __slots__ = ("_values", "_float_values", "is_increasing")
+    __slots__ = ("_values", "_float_values", "is_increasing", "_key")
 
     def __init__(self, values: Sequence[Scalar]):
         if len(values) == 0:
@@ -354,6 +360,7 @@ class TabulatedCost(CostFunction):
         self._values: Tuple[Fraction, ...] = tuple(vals)
         self._float_values = np.array([float(v) for v in vals], dtype=float)
         self.is_increasing = all(a <= b for a, b in zip(vals, vals[1:]))
+        self._key: Optional[str] = None  # cost_fingerprint, once computed
 
     def __len__(self) -> int:
         return len(self._values)
@@ -392,7 +399,7 @@ class PiecewiseLinearCost(CostFunction):
     are non-negative.
     """
 
-    __slots__ = ("_xs", "_ts", "_xs_float", "_ts_float", "is_increasing")
+    __slots__ = ("_xs", "_ts", "_xs_float", "is_increasing", "_key")
 
     def __init__(self, breakpoints: Sequence[Tuple[Scalar, Scalar]]):
         if len(breakpoints) < 2:
@@ -405,10 +412,26 @@ class PiecewiseLinearCost(CostFunction):
             raise ValueError("breakpoint x-coordinates must be strictly increasing")
         if any(t < 0 for t in ts):
             raise ValueError("breakpoint costs must be >= 0")
-        self._xs, self._ts = xs, ts
+        self._xs: Tuple[Fraction, ...] = tuple(xs)
+        self._ts: Tuple[Fraction, ...] = tuple(ts)
         self._xs_float = np.array([float(x) for x in xs])
-        self._ts_float = np.array([float(t) for t in ts])
+        self._xs_float.setflags(write=False)  # shared by scaled copies
         self.is_increasing = all(a <= b for a, b in zip(ts, ts[1:]))
+        self._key: Optional[str] = None  # cost_fingerprint, once computed
+
+    def _ts_float(self) -> np.ndarray:
+        """Float breakpoint costs, built per call rather than kept: a
+        drifting platform makes one scaled cost per request."""
+        return np.array([float(t) for t in self._ts])
+
+    def _scaled(self, f: Fraction) -> "PiecewiseLinearCost":
+        """This cost times ``f > 0``, sharing the x-breakpoints."""
+        out = object.__new__(PiecewiseLinearCost)
+        out._xs, out._xs_float = self._xs, self._xs_float
+        out._ts = tuple(t * f for t in self._ts)
+        out.is_increasing = self.is_increasing
+        out._key = None
+        return out
 
     def exact(self, x: int) -> Fraction:
         if x < 0:
@@ -431,19 +454,18 @@ class PiecewiseLinearCost(CostFunction):
         return ts[i] + slope * (xf - xs[i])
 
     def __call__(self, x: Scalar) -> float:
-        return float(np.interp(float(x), self._xs_float, self._ts_float)) if float(
+        return float(np.interp(float(x), self._xs_float, self._ts_float())) if float(
             x
         ) <= self._xs_float[-1] else float(self.exact(int(x)))
 
     def many(self, xs: np.ndarray) -> np.ndarray:
         arr = np.asarray(xs, dtype=float)
-        inside = np.interp(arr, self._xs_float, self._ts_float)
+        x_f, t_f = self._xs_float, self._ts_float()
+        inside = np.interp(arr, x_f, t_f)
         # np.interp clamps beyond the last point; extrapolate manually.
-        last_slope = (self._ts_float[-1] - self._ts_float[-2]) / (
-            self._xs_float[-1] - self._xs_float[-2]
-        )
-        beyond = arr > self._xs_float[-1]
-        inside[beyond] = self._ts_float[-1] + last_slope * (arr[beyond] - self._xs_float[-1])
+        last_slope = (t_f[-1] - t_f[-2]) / (x_f[-1] - x_f[-2])
+        beyond = arr > x_f[-1]
+        inside[beyond] = t_f[-1] + last_slope * (arr[beyond] - x_f[-1])
         return inside
 
     def check_valid(self, n: int) -> None:
@@ -483,6 +505,11 @@ class CallableCost(CostFunction):
         return f"CallableCost({self._name})"
 
 
+def sha1_hex(text: str) -> str:
+    """Hex SHA-1 of ``text`` (UTF-8): the digest behind every value key."""
+    return _sha1(text.encode()).hexdigest()
+
+
 def cost_fingerprint(fn: CostFunction) -> Optional[str]:
     """Exact canonical value key of one cost function, or ``None``.
 
@@ -501,7 +528,9 @@ def cost_fingerprint(fn: CostFunction) -> Optional[str]:
       agree in exact *and* float semantics and route alike.
     * Tabulated and piecewise costs keep their kind, keyed by their exact
       values, even when those trace a line: their routing differs from
-      the analytic classes'.
+      the analytic classes'.  Their key hashes every value, so it is
+      computed once per cost object and kept on it: every fingerprint
+      containing the object shares one key string.
     * :class:`CallableCost` (and any other class) wraps arbitrary Python
       with no value identity: ``None``.
     """
@@ -518,12 +547,15 @@ def cost_fingerprint(fn: CostFunction) -> Optional[str]:
                 return "zero"
             return f"lin:{fn.rate}"
         return f"aff:{fn.rate}:{fn.intercept}:{int(fn.zero_is_free)}"
-    if kind is TabulatedCost:
-        body = ";".join(str(v) for v in fn._values)
-        return "tab:" + hashlib.sha1(body.encode()).hexdigest()
-    if kind is PiecewiseLinearCost:
-        body = ";".join(f"{x},{t}" for x, t in zip(fn._xs, fn._ts))
-        return "pwl:" + hashlib.sha1(body.encode()).hexdigest()
+    if kind is TabulatedCost or kind is PiecewiseLinearCost:
+        if fn._key is None:  # benign race: equal strings either way
+            if kind is TabulatedCost:
+                body = ";".join(str(v) for v in fn._values)
+                fn._key = "tab:" + sha1_hex(body)
+            else:
+                body = ";".join(f"{x},{t}" for x, t in zip(fn._xs, fn._ts))
+                fn._key = "pwl:" + sha1_hex(body)
+        return fn._key
     return None
 
 
@@ -599,9 +631,7 @@ def scale_cost(cost: CostFunction, factor: Scalar) -> CostFunction:
     if isinstance(cost, TabulatedCost):
         return TabulatedCost([cost.exact(i) * f for i in range(len(cost))])
     if isinstance(cost, PiecewiseLinearCost):
-        return PiecewiseLinearCost(
-            [(x, t * f) for x, t in zip(cost._xs, cost._ts)]
-        )
+        return cost._scaled(f)
     raise TypeError(f"cannot scale cost function {cost!r}")
 
 

@@ -50,9 +50,16 @@ class Processor:
         ``Tcomp(i, ·)`` — time for this processor to compute ``x`` items.
     """
 
+    # Slots keep per-request platforms small; frozen slots need __reduce__
+    # to pickle (the default state restore would assign to a frozen field).
+    __slots__ = ("name", "comm", "comp")
+
     name: str
     comm: CostFunction
     comp: CostFunction
+
+    def __reduce__(self) -> Tuple[type, Tuple[str, CostFunction, CostFunction]]:
+        return (type(self), (self.name, self.comm, self.comp))
 
     # -- convenience constructors ---------------------------------------
     @staticmethod
@@ -105,7 +112,12 @@ class Processor:
 
 
 def _as_counts(counts: Sequence[int], p: int, n: Optional[int]) -> Tuple[int, ...]:
-    tup = tuple(int(c) for c in counts)
+    """``counts`` validated as a tuple of ints (an int tuple is returned
+    as it is, so a result shares its plan's counts)."""
+    if type(counts) is tuple and all(type(c) is int for c in counts):
+        tup = counts
+    else:
+        tup = tuple(int(c) for c in counts)
     if len(tup) != p:
         raise ValueError(f"distribution has {len(tup)} entries, problem has {p} processors")
     if any(c < 0 for c in tup):
@@ -129,6 +141,8 @@ class ScatterProblem:
         Number of independent data items to distribute.
     """
 
+    __slots__ = ("processors", "n")  # see Processor
+
     processors: Tuple[Processor, ...]
     n: int
 
@@ -140,6 +154,9 @@ class ScatterProblem:
             raise ValueError(f"item count must be >= 0, got {n}")
         object.__setattr__(self, "processors", procs)
         object.__setattr__(self, "n", int(n))
+
+    def __reduce__(self) -> Tuple[type, Tuple[Tuple[Processor, ...], int]]:
+        return (type(self), (self.processors, self.n))
 
     # -- basic accessors --------------------------------------------------
     @property

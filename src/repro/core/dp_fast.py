@@ -35,22 +35,31 @@ maximum, so the full staircase costs O(n) per row.
 
 Since ``E(d + 1) <= E(d) + 1`` and ``E`` is non-decreasing, the below-pivot
 range is a *sliding window* in ``m = d - e`` space whose two ends are both
-monotone.  When ``Tcomm(i, ·)`` is affine (``β·e + b`` for ``e >= 1``), the
-window minimum of ``Tcomm(i, d - m) + cost[m, i + 1]`` equals
-``β·d + b + min_m (cost[m, i + 1] - β·m)``: a sliding-window minimum over a
-*static* array.  :func:`_window_min_monotone` answers every window offline
-in amortized O(n): the monotone left ends cut ``[0, n]`` into disjoint
-segments, each answered with one suffix-minimum scan plus one prefix-minimum
-scan — the O(p·n) specialization of the divide-and-conquer/monotone-argmin
-idea (:mod:`repro.verify.references` keeps the explicit O(n log n)
-divide-and-conquer recursion as an independent cross-check).  A sparse-table
-range-min (:func:`_window_argmin`) remains as the fallback for adversarial
+monotone.  On a piece where ``Tcomm(i, ·)`` is affine (``s·e + c`` for
+``e in [e_lo, e_hi]``), the window minimum of
+``Tcomm(i, d - m) + cost[m, i + 1]`` equals
+``s·d + c + min_m (cost[m, i + 1] - s·m)`` over
+``m in [max(d - e_hi, d - E(d) + 1), d - e_lo]``: a sliding-window minimum
+over a *static* array, with both window ends still non-decreasing in
+``d``.  An affine link is one piece ``[1, n]``; a
+:class:`~repro.core.costs.PiecewiseLinearCost` with K segments is K pieces
+(:func:`_comm_pieces`), so its row costs O(K·n).
+:func:`_window_min_monotone` answers every window of a piece offline in
+amortized O(n): windows narrower than :data:`_NARROW` (a prefix of ``d``)
+take a few doubling range-min levels, and the monotone left ends cut the
+rest of ``[0, n]`` into disjoint segments, each answered with one
+suffix-minimum scan plus one prefix-minimum scan — the O(p·n)
+specialization of the divide-and-conquer/monotone-argmin idea
+(:mod:`repro.verify.references` keeps the explicit O(n log n)
+divide-and-conquer recursion, and the general scan for piecewise links,
+as independent cross-checks).  A sparse-table range-min
+(:func:`_window_argmin`) remains as the fallback for adversarial
 staircases where the segment decomposition degenerates.
 
 The kernel stores row *values* only and recovers the choice of each
 visited ``(i, d)`` cell at reconstruction time with one vectorized
 argmin per processor — O(p·n) total, and nothing per-``d`` in interpreted
-Python anywhere on the affine path.  All whole-row temporaries live in a
+Python anywhere on the window path.  All whole-row temporaries live in a
 preallocated :class:`_RowScratch` pack reused across rows: at n = 10⁶ the
 first-touch page faults on fresh 8 MB arrays would otherwise dominate the
 cold run.
@@ -62,10 +71,13 @@ tables: row ``i`` (and the reconstruction walk at ``P_i``) evaluates
 form, tabulated costs as views of their values), and a solve's memory is
 its workspace plus the rows it returns.
 
-Rows whose communication cost is increasing but *not* affine (tabulated
-measurements, piecewise-linear bandwidth knees) fall back to an exact
-pivot-restricted vectorized scan — still a large constant-factor win over
-the interpreted scan, with no exactness caveat.
+Window values equal the scan's up to the last ulps (the shift
+identity reassociates one sum).  Rows whose communication cost is
+increasing but neither affine nor piecewise-linear (tabulated
+measurements, :class:`~repro.core.costs.CallableCost`) fall back to an
+exact pivot-restricted vectorized scan, one interpreted step per ``d``.
+``info["rows_affine"]`` counts the rows on the window path (affine and
+piecewise-linear links), ``info["rows_general_scan"]`` the scanned ones.
 
 The kernel registers in :data:`repro.core.solver.ALGORITHMS` as
 ``"dp-fast"``; ``plan_scatter(algorithm="auto")`` routes every general
@@ -74,13 +86,14 @@ increasing-cost instance to it at any ``n``.
 
 from __future__ import annotations
 
+import math
 import threading
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..obs.profiler import stage_profile
-from .costs import CostFunction, _cost_row
+from .costs import CostFunction, PiecewiseLinearCost, _cost_row
 from .distribution import DistributionResult, Processor, ScatterProblem
 
 __all__ = ["solve_dp_fast"]
@@ -88,6 +101,10 @@ __all__ = ["solve_dp_fast"]
 #: Max Python-level segment iterations in :func:`_window_min_monotone`
 #: before falling back to the sparse table (adversarial staircases only).
 _SEGMENT_BUDGET = 4096
+
+#: Window width from which :func:`_window_min_monotone` walks; narrower
+#: windows take :func:`_narrow_prefix`'s doubling levels (a power of two).
+_NARROW = 256
 
 #: Relative margin for the analytic affine-table inverse: covers the
 #: worst-case rounding of ``fl(fl(rate·e) + icpt)`` vs the real line plus
@@ -123,6 +140,7 @@ class _RowScratch:
         "bl",
         "comm",
         "comp",
+        "line",
     )
 
     def __init__(self, n: int):
@@ -144,6 +162,7 @@ class _RowScratch:
         self.bl = np.empty(n + 1, dtype=bool)
         self.comm = np.empty(n + 1)  # the current processor's Tcomm row
         self.comp = np.empty(n + 1)  # the current processor's Tcomp row
+        self.line = np.empty(n + 1)  # one piecewise-linear piece's line
 
     def cost_rows(self, proc: Processor, m: int) -> Tuple[np.ndarray, np.ndarray]:
         """``proc``'s ``(Tcomm, Tcomp)`` over ``[0, m]``, valid until the
@@ -238,10 +257,10 @@ def _pivot_staircase(
     comp_i: np.ndarray,
     prev: np.ndarray,
     s: _RowScratch,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, bool]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
     """Invert ``j(m) = m + K(m)`` into the whole pivot staircase at once.
 
-    Returns ``(pivots, maxm, j, d_start, degenerate)``:
+    Returns ``(pivots, maxm, j, degenerate)``:
 
     * ``pivots[d] = E(d)`` — the smallest ``e in [0, d]`` with
       ``comp_i[e] >= prev[d - e]``, degenerating to ``d`` when no ``e``
@@ -249,10 +268,9 @@ def _pivot_staircase(
       boundary branch;
     * ``maxm[d] = max{m : j(m) <= d}`` — the below-pivot window is
       ``m in [maxm[d] + 1, d - 1]`` (empty iff ``maxm[d] + 1 > d - 1``);
+      ``E`` is non-decreasing, so emptiness is a prefix property;
     * ``j`` — the clipped integer staircase map (consumed by the segment
       walk: ``maxm[d] + 1 <= hi  iff  d < j[hi]``);
-    * ``d_start`` — the first ``d`` with a non-empty window (``E >= 2`` is
-      monotone, so emptiness is a prefix property);
     * ``degenerate`` — True when some ``d`` had an empty feasible set,
       i.e. ``pivots`` was clamped and the pivot predicate cannot be
       assumed to hold at ``E(d)``.
@@ -277,8 +295,7 @@ def _pivot_staircase(
     degenerate = bool(maxm[0] < 0)  # only possible when prev[0] > comp_i[0]
     if degenerate:
         np.minimum(s.piv, s.m_arr, out=s.piv)  # Algorithm 2 boundary: E = d
-    d_start = int(np.searchsorted(s.piv, 2, side="left"))
-    return s.piv, maxm, s.ji, d_start, degenerate
+    return s.piv, maxm, s.ji, degenerate
 
 
 def _window_argmin(
@@ -329,96 +346,199 @@ def _window_argmin(
     return out
 
 
+def _first_pivot_at_least(pivots: np.ndarray, e: int) -> int:
+    """The first ``d`` with ``E(d) >= e`` (``n + 1`` if none).
+
+    The key is cast to the pivots' int32: a Python int would make
+    ``searchsorted`` convert the whole row first.
+    """
+    return int(pivots.searchsorted(np.int32(e), side="left"))
+
+
+def _narrow_prefix(
+    values: np.ndarray,
+    e_lo: int,
+    e_hi: int,
+    pivots: np.ndarray,
+    maxm: np.ndarray,
+    d_start: int,
+    s: _RowScratch,
+) -> int:
+    """Answer the windows narrower than :data:`_NARROW` into ``win``;
+    returns the first ``d`` left for the block walk.
+
+    On a non-degenerate staircase the window width
+    ``min(e_hi - e_lo + 1, E(d) - e_lo)`` is non-decreasing in ``d``, so
+    the narrow windows are a prefix of ``d`` and each power-of-two width
+    band ``[h, 2h)`` is a contiguous run of it.  Band ``h`` reads the
+    doubling level ``L_h[m] = min values[m .. m + h - 1]`` at the
+    window's two ends, and each level is one shifted minimum of the one
+    before: O(log _NARROW) vectorized passes over the prefix instead of
+    one walk iteration per ``d``.
+    """
+    n = s.n
+    cap = e_hi - e_lo + 1
+
+    def first(width: int) -> int:  # first d whose window is >= width wide
+        if width > cap:
+            return n + 1
+        return _first_pivot_at_least(pivots, width + e_lo)
+
+    d_w = first(_NARROW)
+    if d_w <= d_start:
+        return d_start
+    base = max(d_start - e_hi, int(maxm[d_start]) + 1)  # lo(d_start)
+    level = values[base : d_w - e_lo]
+    win, ix = s.win, s.ix
+    bufs = (s.qf, s.vf)
+    a, h = d_start, 1
+    while True:
+        b = min(first(2 * h), d_w)
+        if b > a:
+            # Left ends lo(d) = max(d - e_hi, maxm[d] + 1), shifted by base.
+            lo = np.add(maxm[a:b], 1 - base, out=ix[: b - a])
+            if e_hi < n:
+                np.maximum(lo, s.m_arr[a:b] - (e_hi + base), out=lo)
+            left = np.take(level, lo, out=win[a:b], mode="clip")
+            r0 = a - e_lo - h + 1 - base  # right ends hi(d) - h + 1
+            np.minimum(left, level[r0 : r0 + b - a], out=left)
+            a = b
+        if a >= d_w:
+            return d_w
+        size = level.shape[0] - h
+        level = np.minimum(level[:size], level[h:], out=bufs[h.bit_length() & 1][:size])
+        h *= 2
+
+
 def _window_min_monotone(
     values: np.ndarray,
+    e_lo: int,
+    e_hi: int,
+    pivots: np.ndarray,
     maxm: np.ndarray,
     j: np.ndarray,
     d_start: int,
-    n: int,
+    degenerate: bool,
     s: _RowScratch,
 ) -> np.ndarray:
     """Offline sliding-window minima into ``win``:
-    ``win[d] = min values[maxm[d] + 1 .. d - 1]`` (``+inf`` where empty),
-    for non-decreasing left ends — amortized O(n).
+    ``win[d] = min values[lo(d) .. hi(d)]`` for ``d in [d_start, n]``, with
+    ``lo(d) = max(d - e_hi, maxm[d] + 1)`` and ``hi(d) = d - e_lo`` — the
+    below-pivot candidates ``e in [e_lo, min(e_hi, E(d) - 1)]`` in
+    ``m = d - e`` space.  Amortized O(n).
 
-    The monotone left ends split ``[0, n]`` into *disjoint* support
-    segments: while queries' left ends stay inside ``[lo, hi]``
-    (``hi = d0 - 1`` frozen at the segment's first query ``d0``), the
+    Both ends are non-decreasing in ``d``.  Windows narrower than
+    :data:`_NARROW` (a prefix of ``d``) are answered by
+    :func:`_narrow_prefix`.  From there the monotone left ends split the
+    rest into *disjoint* support segments: while queries' left ends stay
+    inside ``[lo, hi]`` (frozen at the segment's first query ``d0``), the
     window decomposes as a suffix of the segment plus a prefix of the
     elements after it.  One reversed ``minimum.accumulate`` answers every
     suffix, one forward ``minimum.accumulate`` every prefix, and the
     segment's query span comes straight from the staircase map
-    (``maxm[d] + 1 <= hi  iff  d < j[hi]``), so each element is scanned at
-    most twice per row.  Degenerate staircases that would force one Python
-    iteration per query (window width stuck at 1) trip
+    (``maxm[d] + 1 <= hi  iff  d < j[hi]``) and the cap
+    (``d - e_hi <= hi``), so each element is scanned at most twice per
+    row.  Every walk segment spans at least one window width of ``d``.
+    Degenerate staircases (no narrow prefix: their widths are not
+    monotone) that would force many Python iterations trip
     :data:`_SEGMENT_BUDGET` and finish on the sparse table instead.
     """
+    n = s.n
     win = s.win
-    win[:d_start].fill(np.inf)  # empty windows are a prefix of d
+    capped = e_hi < n
+    d0 = d_start
+    if not degenerate:
+        d0 = _narrow_prefix(values, e_lo, e_hi, pivots, maxm, d_start, s)
     rev_buf, pre_buf, ix = s.qf, s.vf, s.ix  # free after the staircase
     minimum, macc, take = np.minimum, np.minimum.accumulate, np.take
-    d0 = d_start
     iters = 0
     while d0 <= n:
         iters += 1
         if iters > _SEGMENT_BUDGET:
-            win[d0:].fill(np.inf)
             w_lo = maxm[d0:] + 1
-            d_arr = np.arange(d0, n + 1, dtype=np.int64)
-            m_star = _window_argmin(values, w_lo, d_arr - 1)
-            hit = m_star >= 0
-            win[d0:][hit] = values[m_star[hit]]
+            if capped:
+                np.maximum(w_lo, s.m_arr[d0:] - e_hi, out=w_lo)
+            w_hi = np.arange(d0 - e_lo, n + 1 - e_lo, dtype=np.int64)
+            m_star = _window_argmin(values, w_lo, w_hi)
+            win[d0:] = values[m_star]  # every window here is non-empty
             break
-        lo = int(maxm[d0]) + 1
-        hi = d0 - 1
-        d_end = int(j[hi]) - 1
-        if d_end > n:
-            d_end = n
+        hi = d0 - e_lo
+        lo = max(d0 - e_hi, int(maxm[d0]) + 1)
+        d_end = min(int(j[hi]) - 1, hi + e_hi, n)
         # Stage a contiguous reversed copy first: ufunc.accumulate takes a
         # slow buffered path on negative-stride views.
         rev = rev_buf[: hi + 1 - lo]
         rev[:] = values[lo : hi + 1][::-1]
         macc(rev, out=rev)
-        # rev[k] = min values[hi - k .. hi]; window start m = maxm[d] + 1.
+        # rev[k] = min values[hi - k .. hi]; the window starts at lo(d).
         idx = np.subtract(hi - 1, maxm[d0 : d_end + 1], out=ix[: d_end + 1 - d0])
+        if capped:
+            np.minimum(idx, (hi + e_hi) - s.m_arr[d0 : d_end + 1], out=idx)
         left = take(rev, idx, out=win[d0 : d_end + 1], mode="clip")
-        if d_end > d0:
-            pre = macc(values[hi + 1 : d_end], out=pre_buf[: d_end - hi - 1])
-            minimum(left[1:], pre, out=left[1:])  # plus values[hi+1 .. d-1]
+        if d_end > d0:  # plus values[hi + 1 .. hi(d)]
+            pre = macc(values[hi + 1 : d_end + 1 - e_lo], out=pre_buf[: d_end - d0])
+            minimum(left[1:], pre, out=left[1:])
         d0 = d_end + 1
     return win
 
 
-def _row_affine_values(
+def _comm_pieces(
+    fn: CostFunction, comm_i: np.ndarray, s: _RowScratch
+) -> Iterator[Tuple[int, int, np.ndarray, float]]:
+    """The affine pieces of ``Tcomm(i, ·)`` on ``e in [1, n]``.
+
+    Yields ``(e_lo, e_hi, line, c)``: on ``e in [e_lo, e_hi]`` the cost is
+    ``line[d] - line[d - e] + c``, where ``line`` holds
+    ``fl(fl(m·slope) + c)`` over ``[0, n]`` and its value at ``m = 0`` is
+    taken to be ``c``.  An affine link is one piece whose line is its own
+    cost row (equal to that formula wherever the row is read).  A
+    :class:`PiecewiseLinearCost` yields one piece per segment, its
+    integer range ``[max(1, ⌈x_k⌉), ⌈x_{k+1}⌉ − 1]`` taken from the
+    exact breakpoints (the last runs to ``n``) and its line built in the
+    ``line`` slot, so consume each piece before drawing the next.
+    """
+    n = s.n
+    if fn.is_affine:
+        yield 1, n, comm_i, float(fn.intercept)
+        return
+    xs, ts = fn._xs, fn._ts
+    last = len(xs) - 2
+    for k in range(last + 1):
+        e_lo = max(1, math.ceil(xs[k]))
+        e_hi = n if k == last else min(n, math.ceil(xs[k + 1]) - 1)
+        if e_lo > e_hi:
+            continue
+        slope = (ts[k + 1] - ts[k]) / (xs[k + 1] - xs[k])
+        c = float(ts[k] - slope * xs[k])
+        line = np.multiply(s.d_float, float(slope), out=s.line)
+        if c != 0.0:
+            line += c
+        yield e_lo, e_hi, line, c
+
+
+def _row_window_values(
+    comm_fn: CostFunction,
     comm_i: np.ndarray,
     comp_i: np.ndarray,
     prev: np.ndarray,
     pivots: np.ndarray,
     maxm: np.ndarray,
     j: np.ndarray,
-    d_start: int,
     degenerate: bool,
-    icpt: float,
     s: _RowScratch,
     out: np.ndarray,
 ) -> np.ndarray:
-    """Value-only affine row update (kernel 1's O(n) path), into ``out``.
+    """Value-only row update for piecewise-affine ``Tcomm``, into ``out``.
 
-    ``out[d] = min(cand0, window, pivot)`` with the below-pivot window
-    minimum taken over the static shifted row ``prev[m] - comm_i[m]``.  The
-    pivot candidate is read from ``comm + comp`` directly: the pivot
-    predicate guarantees the ``max`` resolves to ``comp`` there (except on
-    clamped degenerate staircases, which fall back to the explicit max).
+    ``out[d] = min(cand0, windows, pivot)``.  On each piece (see
+    :func:`_comm_pieces`) the below-pivot candidates are
+    ``line[d] + c + min_m (prev[m] - line[m])``: a window minimum over a
+    *static* shifted row, so a row costs O(K·n) for K pieces.  The pivot
+    candidate is read from ``comm + comp`` directly: the pivot predicate
+    guarantees the ``max`` resolves to ``comp`` there (except on clamped
+    degenerate staircases, which fall back to the explicit max).
     """
     n = s.n
-    # Shift with the comm table itself instead of a fresh rate·m pass:
-    # comm_i[m] = fl(rate·m + icpt) for m >= 1, so
-    #   comm(e) + prev[m] = comm(d) + icpt + S'[m],  S'[m] = prev[m] - comm_i[m]
-    # up to a few ulps (the same shift identity, one whole-row pass cheaper).
-    np.subtract(prev, comm_i, out=s.sv)
-    if comm_i[0] == 0.0 and icpt != 0.0:
-        s.sv[0] = prev[0] - icpt  # zero-free table: align m = 0 with the identity
-    win = _window_min_monotone(s.sv, maxm, j, d_start, n, s)
     if not degenerate:
         # Pivots are non-decreasing, so comm + comp is only ever gathered
         # from [0, pivots[n]] — usually a small fraction of the row.
@@ -427,10 +547,20 @@ def _row_affine_values(
         np.take(s.both[: emax + 1], pivots, out=out, mode="clip")
     else:  # non-null-at-0 model: E(d) may be the clamped d
         out[:] = comm_i[pivots] + np.maximum(comp_i[pivots], prev[s.m_arr - pivots])
-    b_vals = np.add(comm_i, win, out=win)  # win is spent: rebuilt next row
-    if icpt != 0.0:
-        b_vals += icpt
-    np.minimum(out, b_vals, out=out)
+    for e_lo, e_hi, line, c in _comm_pieces(comm_fn, comm_i, s):
+        d_start = _first_pivot_at_least(pivots, e_lo + 1)
+        if d_start > n:  # E(d) <= e_lo everywhere: no below-pivot candidate
+            continue
+        # comm(e) + prev[m] = line[d] + c + (prev[m] - line[m]), e = d - m.
+        np.subtract(prev, line, out=s.sv)
+        s.sv[0] = prev[0] - c
+        win = _window_min_monotone(
+            s.sv, e_lo, e_hi, pivots, maxm, j, d_start, degenerate, s
+        )
+        b_vals = np.add(line[d_start:], win[d_start:], out=win[d_start:])
+        if c != 0.0:
+            b_vals += c
+        np.minimum(out[d_start:], b_vals, out=out[d_start:])
     if comm_i[0] == 0.0 and comp_i[0] == 0.0:
         np.minimum(out, prev, out=out)  # e = 0: skip this processor
     else:
@@ -528,9 +658,13 @@ def solve_dp_fast(
     the communication costs are affine/linear (the calibrated-platform
     case) — analytic pivot inverse, counting-scatter staircase inversion,
     and offline monotone sliding-window minima, with zero per-``d``
-    interpreted work — and an exact pivot-restricted vectorized fallback
-    otherwise.  The returned makespan matches :func:`solve_dp_optimized`
-    (counts may break cost ties differently).
+    interpreted work — and ``O(p · K · n)`` when they are piecewise-linear
+    with up to K segments (one window pass per segment).  Only tabulated
+    and callable communication costs take the exact pivot-restricted
+    scan, one interpreted step per ``d``.  ``info["rows_affine"]`` counts
+    the rows on the window path, ``info["rows_general_scan"]`` the
+    scanned ones.  The returned makespan matches
+    :func:`solve_dp_optimized` (counts may break cost ties differently).
 
     Parameters
     ----------
@@ -582,23 +716,14 @@ def solve_dp_fast(
             rows.append(prev)
         for k, i in enumerate(range(p - 2 - max(k0 - 1, 0), -1, -1), start=max(k0, 1)):
             comm_i, comp_i = s.cost_rows(procs[i], n)
-            pivots, maxm, j, d_start, degen = _pivot_staircase(
+            pivots, maxm, j, degen = _pivot_staircase(
                 procs[i].comp, comp_i, prev, s
             )
-            if procs[i].comm.is_affine:
+            comm = procs[i].comm
+            if comm.is_affine or type(comm) is PiecewiseLinearCost:
                 rows_affine += 1
-                cur = _row_affine_values(
-                    comm_i,
-                    comp_i,
-                    prev,
-                    pivots,
-                    maxm,
-                    j,
-                    d_start,
-                    degen,
-                    float(procs[i].comm.intercept),
-                    s,
-                    rows_buf[k],
+                cur = _row_window_values(
+                    comm, comm_i, comp_i, prev, pivots, maxm, j, degen, s, rows_buf[k]
                 )
             else:
                 rows_general += 1

@@ -17,7 +17,11 @@ the DP kernels' state is largely reusable across those re-plans:
   ``n``, served as a ``[: n' + 1]`` prefix view, is bit-identical to a
   cold solve at ``n'`` (the dp-fast kernel's analytic-pivot guard takes
   the same branch either way — both branches produce the same exact
-  pivots).
+  pivots).  On the window path a link's affine pieces come from its exact
+  breakpoints and only the last is clipped at ``n``, every piece's line
+  is evaluated per index, and a window minimum over a static array is
+  exact whichever route (narrow levels, block walk, sparse table) answers
+  it, so piecewise-linear rows are prefix-stable too.
 
 :class:`IncrementalPlanner` packages those facts behind the same contract
 as :func:`~repro.core.solver.plan_scatter`: **every plan it returns is

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Dict, FrozenSet, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..lint.runtime import make_lock
 from ..obs.metrics import METRICS
@@ -37,7 +37,7 @@ class CachedPlan:
     algorithm: str
     makespan_exact: Optional[Fraction] = None
     #: Per-cost canonical keys of the solved instance (invalidation index).
-    cost_keys: FrozenSet[str] = frozenset()
+    cost_keys: Tuple[str, ...] = ()
     #: Problem-independent ``result.info`` items for tree plans (the
     #: :class:`~repro.core.trees.ScatterTree`, construction, bounds — all
     #: immutable values; the wall-clock ``"profile"`` entry is excluded).

@@ -34,11 +34,10 @@ classes it keys; this module re-exports it.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
-from typing import FrozenSet, Optional
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
-from ..core.costs import cost_fingerprint
+from ..core.costs import cost_fingerprint, sha1_hex
 from ..core.distribution import ScatterProblem
 
 __all__ = ["Fingerprint", "cost_fingerprint", "problem_fingerprint"]
@@ -56,13 +55,16 @@ class Fingerprint:
         The human-readable canonical string (``v1;n=...;p=...;...``),
         kept for debugging and for the equal-value property tests.
     cost_keys:
-        The set of per-cost canonical keys appearing in the request —
-        the index :meth:`PlanCache.invalidate_cost` evicts by.
+        The distinct per-cost canonical keys appearing in the request,
+        sorted — the index :meth:`PlanCache.invalidate_cost` evicts by.
+        A tabulated or piecewise cost's key is one string kept on the
+        cost object, so the cached plans of a drifting platform share one
+        string per unchanged cost.
     """
 
     key: str
     canonical: str
-    cost_keys: FrozenSet[str] = field(default_factory=frozenset)
+    cost_keys: Tuple[str, ...] = ()
 
     def __str__(self) -> str:  # pragma: no cover - repr convenience
         return self.key
@@ -104,6 +106,6 @@ def problem_fingerprint(
     if topology != "flat":
         head += f";topo={topology}"
     canonical = head + ";" + ";".join(parts)
-    digest = hashlib.sha1(canonical.encode()).hexdigest()
+    digest = sha1_hex(canonical)
     return Fingerprint(key=digest, canonical=canonical,
-                       cost_keys=frozenset(keys))
+                       cost_keys=tuple(sorted(keys)))

@@ -359,7 +359,7 @@ class PlanService:
                 makespan=result.makespan,
                 algorithm=result.algorithm,
                 makespan_exact=result.makespan_exact,
-                cost_keys=fp.cost_keys if fp is not None else frozenset(),
+                cost_keys=fp.cost_keys if fp is not None else (),
                 tree_info=tree_info,
             )
         if error is not None:

@@ -20,7 +20,6 @@ only ever slows a host down.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -42,6 +41,8 @@ def seeded_unit(seed: int, *parts: object) -> float:
     fault layer reuses it for retry-backoff jitter so fault-tolerant runs
     stay bit-identical across repeats.
     """
+    import hashlib  # here, not at module level: it loads OpenSSL (~3.5 MiB)
+
     key = ":".join(str(p) for p in (seed, *parts)).encode()
     digest = hashlib.sha256(key).digest()
     return int.from_bytes(digest[:8], "big") / 2**64

@@ -3,7 +3,8 @@
 The fuzzer draws scatter instances from a family of seeded generators —
 linear/affine (the paper's calibrated models), adversarial linear shapes
 (Theorem 2 drop-forcing betas, ties, free processors), stepwise
-piecewise-linear bandwidth knees, rough tabulated costs (monotone and
+piecewise-linear bandwidth knees (and, on request, many-piece knees at
+``n`` up to 2,000), rough tabulated costs (monotone and
 general), and degenerate edges (``p = 1``, ``n = 0``, ``n < p``,
 zero-latency) — runs **every applicable solver** on each instance
 (:func:`repro.verify.oracles.solve_all`), and applies the oracle registry
@@ -93,9 +94,11 @@ SHAPES = (
     "tabulated-monotone",
     "tabulated-general",
     "degenerate",
+    "knee",
 )
 
-#: Seed-indexed rotation.  Linear-family shapes are over-weighted so the
+#: Seed-indexed rotation (``knee`` runs only when asked for: adding it
+#: here would change every default run's instance stream).  Linear-family shapes are over-weighted so the
 #: Theorem 1/2/3 oracles (linear-only) see enough instances per run; the
 #: affine family (which includes every linear shape) feeds Eq. 4.
 SHAPE_SCHEDULE = (
@@ -143,6 +146,8 @@ def generate_instance(shape: str, rng: random.Random) -> ScatterProblem:
         )
     if shape == "degenerate":
         return _degenerate_problem(rng)
+    if shape == "knee":
+        return _knee_problem(rng)
     raise ValueError(f"unknown instance shape {shape!r}; know {SHAPES}")
 
 
@@ -193,6 +198,39 @@ def _stepwise_problem(rng: random.Random) -> ScatterProblem:
     procs = []
     for i in range(p - 1):
         procs.append(Processor(f"P{i + 1}", knee(), knee()))
+    procs.append(Processor(f"P{p}", ZeroCost(), knee()))
+    return ScatterProblem(procs, n)
+
+
+def _knee_problem(rng: random.Random) -> ScatterProblem:
+    """Many-piece bandwidth knees at the sizes dp-fast's windows see.
+
+    Each cost has 1–5 increasing pieces with exact quarter-integer
+    breakpoints (several between integers), some flat pieces, a last
+    breakpoint short of ``n`` (extrapolated) or past it, and now and
+    then a single knee at ``x <= 3``.  ``n`` runs to 2,000, past
+    ``FUZZ_MAX_DP_N``, so the kernel's narrow prefix and block walk both
+    run; dp-monotone's general scan is the cross-check there.
+    """
+    p = rng.randint(2, 8)
+    n = rng.randint(2, 2_000)
+
+    def knee() -> PiecewiseLinearCost:
+        if rng.random() < 0.2:
+            inner = [Fraction(rng.randint(1, 3))]
+        else:
+            pieces = rng.randint(1, 5)
+            inner = sorted({Fraction(rng.randint(1, 4 * n), 4) for _ in range(pieces - 1)})
+        last = Fraction(rng.randint(max(1, n // 2), 2 * n))
+        xs = [Fraction(0)] + [x for x in inner if x < last] + [last]
+        points, t = [(xs[0], Fraction(0))], Fraction(0)
+        for a, b in zip(xs, xs[1:]):
+            slope = 0.0 if rng.random() < 0.15 else rng.uniform(1e-6, 5e-5)
+            t += Fraction(slope) * (b - a)
+            points.append((b, t))
+        return PiecewiseLinearCost(points)
+
+    procs = [Processor(f"P{i + 1}", knee(), knee()) for i in range(p - 1)]
     procs.append(Processor(f"P{p}", ZeroCost(), knee()))
     return ScatterProblem(procs, n)
 

@@ -61,6 +61,15 @@ class TestFigureSvg:
         svg = figure_svg(["a<b>&c"], [1.0], [0.0], [1], title="x & y")
         parse(svg)  # must not raise
 
+    def test_escape_matches_xml_sax(self):
+        """The local escape is byte-for-byte ``xml.sax.saxutils.escape``."""
+        from xml.sax.saxutils import escape
+
+        label = "a<b>&c &amp; <<&>>"
+        svg = figure_svg([label], [1.0], [0.0], [1], title=label)
+        assert svg.count(escape(label)) == 2
+        assert label not in svg
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             figure_svg(["a"], [1.0, 2.0], [0.0], [1])

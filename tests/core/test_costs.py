@@ -13,8 +13,10 @@ from repro.core.costs import (
     TabulatedCost,
     ZeroCost,
     as_fraction,
+    cost_fingerprint,
     fit_affine,
     fit_linear,
+    scale_cost,
 )
 
 
@@ -209,6 +211,24 @@ class TestPiecewiseLinearCost:
         c = PiecewiseLinearCost([(0, 0), (7, 3), (50, 20)])
         for x in [0, 3, 7, 20, 50, 80]:
             assert float(c.exact(x)) == pytest.approx(c(x))
+
+    def test_scaled_cost_equals_one_built_from_scaled_breakpoints(self):
+        pts = [(0, 0), (Fraction(7, 2), 0.3), (50, 2.0), (60, 2.0)]
+        f = Fraction(1023, 1000)
+        scaled = scale_cost(PiecewiseLinearCost(pts), f)
+        built = PiecewiseLinearCost([(x, as_fraction(t) * f) for x, t in pts])
+        assert cost_fingerprint(scaled) == cost_fingerprint(built)
+        xs = np.arange(81)
+        assert [scaled.exact(int(x)) for x in xs] == [built.exact(int(x)) for x in xs]
+        assert np.array_equal(scaled.many(xs), built.many(xs))
+        assert scaled(17) == built(17)
+        assert scaled.is_increasing
+
+    def test_scaled_cost_shares_x_breakpoints(self):
+        base = PiecewiseLinearCost([(0, 0), (10, 5), (20, 25)])
+        scaled = scale_cost(base, 2)
+        assert scaled._xs is base._xs and scaled._xs_float is base._xs_float
+        assert not base._xs_float.flags.writeable
 
 
 class TestCallableCost:

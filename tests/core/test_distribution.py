@@ -198,3 +198,21 @@ class TestDistributionResult:
         prob = simple_problem()
         res = DistributionResult(prob, (2, 3, 5), 0.0, "x")
         assert res.as_array().tolist() == [2, 3, 5]
+
+    def test_int_tuple_counts_are_kept_not_copied(self):
+        """A served result shares its cached plan's counts tuple."""
+        prob = simple_problem()
+        counts = tuple(int(c) for c in "235")
+        assert DistributionResult(prob, counts, 0.0, "x").counts is counts
+        converted = DistributionResult(prob, [2, 3, 5], 0.0, "x").counts
+        assert converted == (2, 3, 5) and type(converted) is tuple
+        with pytest.raises(ValueError):
+            DistributionResult(prob, (2, 3, -5), 0.0, "x")
+
+    def test_pickle_round_trip(self):
+        import pickle
+
+        prob = simple_problem()
+        back = pickle.loads(pickle.dumps(prob))
+        assert back == prob and back.names == prob.names
+        assert pickle.loads(pickle.dumps(prob.processors[0])) == prob.processors[0]

@@ -8,7 +8,7 @@ from repro.serve.cache import CachedPlan, PlanCache
 def _plan(tag=0, cost_keys=()):
     return CachedPlan(
         counts=(10 + tag, 5), makespan=1.0 + tag, algorithm="closed-form",
-        cost_keys=frozenset(cost_keys),
+        cost_keys=tuple(sorted(cost_keys)),
     )
 
 

@@ -161,6 +161,17 @@ class TestProblemFingerprint:
         assert cost_fingerprint(AffineCost(0.02, 1.5)) in fp.cost_keys
         assert cost_fingerprint(LinearCost(1e-5)) in fp.cost_keys
         assert "zero" in fp.cost_keys
+        assert fp.cost_keys == tuple(sorted(set(fp.cost_keys)))
+
+    def test_shared_cost_keys_are_one_string(self):
+        """Cached plans of a drifting platform share each unchanged key."""
+        knee = PiecewiseLinearCost([(0, 0), (7, Fraction(1, 3)), (50, 2)])
+        a = problem_fingerprint(_problem([(knee, LinearCost(0.01)), (ZeroCost(), knee)]))
+        b = problem_fingerprint(_problem([(knee, LinearCost(0.02)), (ZeroCost(), knee)]))
+        key = cost_fingerprint(knee)
+        shared_a = next(k for k in a.cost_keys if k == key)
+        shared_b = next(k for k in b.cost_keys if k == key)
+        assert shared_a is shared_b
 
 
 # Strategy: exact rationals whose float form converts back exactly, plus

@@ -1,7 +1,10 @@
 """PlanService concurrency suite: stampede, coalescing, oracles, warm re-plans."""
 
 import gc
+import os
 import random
+import subprocess
+import sys
 import threading
 import tracemalloc
 
@@ -374,3 +377,23 @@ class TestServingMemory:
         finally:
             tracemalloc.stop()
         assert abs(traced[5] - traced[2]) <= 0.10 * traced[2], traced
+
+
+class TestImportWeight:
+    def test_serve_import_leaves_heavy_stdlib_modules_out(self):
+        """ssl/http/email (via urllib.request) and multiprocessing.pool
+        are loaded only by the code that uses them."""
+        import repro
+
+        heavy = ("ssl", "urllib.request", "http.client", "email", "multiprocessing.pool")
+        code = (
+            "import sys, repro.serve; "
+            f"print([m for m in {heavy!r} if m in sys.modules])"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=env, check=True, timeout=120,
+        )
+        assert out.stdout.strip() == "[]"

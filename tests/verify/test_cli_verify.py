@@ -67,6 +67,21 @@ class TestVerifyCli:
         assert doc["fuzz"]["stats"]["instances"] == 4
         assert doc["fuzz"]["stats"]["oracle_checked"]["tree-lower-bound"] >= 4
 
+    @pytest.mark.parametrize("mode", ["oracles", "incremental"])
+    def test_shape_filter(self, mode, capsys):
+        code = main(["verify", "--mode", mode, "--shape", "knee", "--seeds", "3", "--json"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["ok"] is True
+        assert doc["fuzz"]["stats"]["shapes"] == {"knee": 3}
+        # A shape-focused run skips the mutation and golden legs.
+        assert doc["mutation"] is None
+        assert doc["golden_drift"] == []
+
+    def test_unknown_shape_is_usage_error(self, capsys):
+        assert main(["verify", "--seeds", "2", "--shape", "cubist"]) == 2
+        assert "unknown instance shape" in capsys.readouterr().err
+
     def test_tree_mode_rejects_oracle_filter(self, capsys):
         code = main(["verify", "--mode", "tree", "--oracle", "dist-valid"])
         assert code == 2

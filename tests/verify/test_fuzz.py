@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from repro.core import ScatterProblem
+from repro.core import IncrementalPlanner, PiecewiseLinearCost, ScatterProblem, plan_scatter
 from repro.verify.fuzz import (
+    FUZZ_MAX_DP_N,
     INCREMENTAL_OPS,
     SHAPE_SCHEDULE,
     SHAPES,
@@ -103,8 +104,9 @@ class TestGuidedMode:
     def test_guided_explores_every_shape_then_biases(self):
         outcome = fuzz(30, base_seed=3, guided=True)
         assert outcome.ok, [ce.to_dict() for ce in outcome.counterexamples]
-        # The selector must draw every candidate shape at least once...
-        assert set(outcome.stats.shapes) == set(SHAPES)
+        # The selector must draw every candidate shape (the default
+        # rotation's; opt-in shapes stay out) at least once...
+        assert set(outcome.stats.shapes) == set(SHAPE_SCHEDULE)
         # ...and then exploit: the distribution is not the uniform-ish
         # static rotation (some shape is drawn strictly more than others).
         counts = sorted(outcome.stats.shapes.values())
@@ -147,6 +149,51 @@ class TestIncrementalMode:
                 current.check_valid()
                 assert current.p >= 1
                 assert 0 <= current.n <= problem.n
+
+
+class TestKneeShape:
+    """The opt-in ``knee`` shape: many-piece links at dp-fast's sizes."""
+
+    def test_knee_is_opt_in(self):
+        assert "knee" in SHAPES
+        assert "knee" not in SHAPE_SCHEDULE
+
+    def test_knee_instances(self):
+        rng = random.Random(3)
+        problems = [generate_instance("knee", rng) for _ in range(30)]
+        assert max(problem.n for problem in problems) > FUZZ_MAX_DP_N
+        assert max(problem.p for problem in problems) >= 7
+        pieces = set()
+        for problem in problems:
+            for proc in problem.processors:
+                assert isinstance(proc.comp, PiecewiseLinearCost)
+                pieces.add(len(proc.comp._xs) - 1)
+        assert pieces == {1, 2, 3, 4, 5}
+
+    def test_knee_fuzz_clean(self):
+        outcome = fuzz(12, base_seed=2, shapes=("knee",))
+        assert outcome.ok, [ce.to_dict() for ce in outcome.counterexamples]
+        checked = outcome.stats.oracle_checked
+        for oracle_id in ("exact-agree", "eq1-recompute", "incremental-matches-cold"):
+            assert checked[oracle_id] == 12
+
+    def test_knee_churn_byte_matches_cold(self):
+        outcome = fuzz_incremental(8, base_seed=3, shapes=("knee",), ops=6)
+        assert outcome.ok, [ce.to_dict() for ce in outcome.counterexamples]
+        assert outcome.stats.shapes == {"knee": 8}
+
+    def test_knee_n_shrink_reuses_every_row(self):
+        drawn = (generate_instance("knee", _instance_rng(0, seed)) for seed in range(50))
+        problem = next(problem for problem in drawn if problem.n > 1_000)
+        planner = IncrementalPlanner()
+        planner.plan(problem)
+        for n in (problem.n // 2, problem.n // 7):
+            shrunk = problem.with_n(n)
+            warm = planner.plan(shrunk)
+            cold = plan_scatter(shrunk, order_policy=None)
+            assert warm.info["incremental"]["warm_rows"] == problem.p
+            assert warm.counts == cold.counts
+            assert warm.makespan == cold.makespan
 
 
 class TestTreeMode:
