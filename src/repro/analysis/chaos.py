@@ -10,9 +10,9 @@ compute → report-back round with :func:`~repro.mpi.ft_scatterv`, and
 compares the resulting makespan against the no-failure optimum.
 
 Nested kill sets plus deterministic simulation make the degradation curve
-reproducible and (empirically) monotone in the failure rate — the
-property ``benchmarks/bench_chaos.py`` asserts and records in
-``BENCH_chaos.json``.
+reproducible and (empirically) monotone in the failure rate, the property
+``tests/analysis/test_chaos.py`` asserts.  The repository benchmark's
+``sim-chaos`` workload times this sweep on the Table 1 grid.
 """
 
 from __future__ import annotations

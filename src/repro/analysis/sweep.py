@@ -29,6 +29,8 @@ __all__ = [
     "SweepEvaluator",
     "SequentialSweepEvaluator",
     "ParallelSweepEvaluator",
+    "BACKENDS",
+    "make_evaluator",
     "gain_for_problem",
     "heterogeneity_sweep",
     "comm_ratio_sweep",
@@ -213,6 +215,30 @@ class ParallelSweepEvaluator(SweepEvaluator):
             self._pool.close()
             self._pool.join()
             self._pool = None
+
+
+#: Evaluator backends by name: inline, or a thread or process pool.
+BACKENDS = ("sequential", "thread", "process")
+
+
+def make_evaluator(
+    backend: str = "sequential", workers: Optional[int] = None
+) -> SweepEvaluator:
+    """The evaluator a backend name selects; ``workers`` sizes a pool.
+
+    Raises :class:`ValueError` for an unknown backend, and for ``workers``
+    without a pool backend (sequential evaluation would ignore it).
+    """
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}; know {BACKENDS}")
+    if backend == "sequential":
+        if workers is not None:
+            raise ValueError(
+                "workers needs a pool backend ('thread' or 'process'), "
+                "not 'sequential'"
+            )
+        return SequentialSweepEvaluator()
+    return ParallelSweepEvaluator(workers, backend=backend)
 
 
 def _evaluate_points(

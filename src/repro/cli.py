@@ -34,6 +34,7 @@ import sys
 from typing import List, Optional
 
 from .analysis.report import render_figure, render_table
+from .analysis.sweep import BACKENDS
 from .core.distribution import uniform_counts
 from .core.solver import ALGORITHMS, plan_scatter
 from .simgrid.platform import Platform
@@ -186,17 +187,17 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     from .analysis.sweep import (
-        ParallelSweepEvaluator,
-        SequentialSweepEvaluator,
         comm_ratio_sweep,
         heterogeneity_sweep,
+        make_evaluator,
         problem_size_sweep,
     )
 
-    if args.backend == "sequential":
-        evaluator = SequentialSweepEvaluator()
-    else:
-        evaluator = ParallelSweepEvaluator(args.workers, backend=args.backend)
+    try:
+        evaluator = make_evaluator(args.backend, args.workers)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     with evaluator:
         if args.dimension == "heterogeneity":
             points = heterogeneity_sweep(
@@ -328,14 +329,18 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from .obs.metrics import METRICS
     from .serve import PlanService, serve_jsonl
 
-    service = PlanService(
-        algorithm=args.algorithm,
-        order_policy=None if args.order_policy == "none" else args.order_policy,
-        cache_size=args.cache_size,
-        ttl=args.ttl,
-        backend=args.backend,
-        workers=args.workers,
-    )
+    try:
+        service = PlanService(
+            algorithm=args.algorithm,
+            order_policy=None if args.order_policy == "none" else args.order_policy,
+            cache_size=args.cache_size,
+            ttl=args.ttl,
+            backend=args.backend,
+            workers=args.workers,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.input:
         stream = open(args.input, encoding="utf-8")
     else:
@@ -441,13 +446,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     focused = bool(args.oracle) or bool(args.shape) or differential
     try:
         if differential:
-            if args.oracle:
-                print(
-                    f"error: --oracle cannot be combined with "
-                    f"--mode {args.mode}",
-                    file=sys.stderr,
-                )
-                return 2
+            for flag, given in (("--oracle", args.oracle), ("--guided", args.guided)):
+                if given:
+                    print(
+                        f"error: {flag} cannot be combined with "
+                        f"--mode {args.mode}",
+                        file=sys.stderr,
+                    )
+                    return 2
             if args.mode == "incremental":
                 outcome = fuzz_incremental(
                     args.seeds, base_seed=args.base_seed, shapes=args.shape
@@ -610,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--n", type=int, default=100_000, help="items")
     p_sw.add_argument(
         "--backend",
-        choices=["sequential", "thread", "process"],
+        choices=BACKENDS,
         default="sequential",
         help="evaluate sweep points serially or over a pool",
     )
@@ -690,7 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="plan-cache entry lifetime in seconds (default: no expiry)",
     )
     p_se.add_argument(
-        "--backend", choices=["sequential", "thread", "process"],
+        "--backend", choices=BACKENDS,
         default="sequential",
         help="solve misses inline or over a pool",
     )

@@ -24,10 +24,8 @@ from fractions import Fraction
 from typing import Callable, List, Sequence, Tuple
 
 from ..lp.model import affine_coefficients, build_scatter_lp
-from ..lp.scipy_backend import solve_with_scipy
 from ..lp.simplex import solve_simplex
 from ..obs.profiler import stage_profile
-from .costs import as_fraction
 from .distribution import DistributionResult, ScatterProblem
 from .rounding import round_paper
 
@@ -66,44 +64,16 @@ def relaxed_makespan(problem: ScatterProblem, counts: Sequence[int]) -> Fraction
     return best
 
 
-def solve_lp_rational(
-    problem: ScatterProblem, *, backend: str = "exact"
-) -> Tuple[List[Fraction], Fraction]:
-    """Solve system (3); returns ``(shares, T)`` with ``Σ shares = n`` exact.
-
-    Parameters
-    ----------
-    backend:
-        ``"exact"`` — rational simplex (default, matches the paper's exact
-        pipMP resolution); ``"scipy"`` — float HiGHS solve whose result is
-        lifted back to fractions and whose tiny float residue is folded
-        into the largest share so the total is exactly ``n``.
-    """
-    lp = build_scatter_lp(problem)
-    p = problem.p
-    if backend == "exact":
-        res = solve_simplex(lp)
-        shares = res.x[:p]
-        t = res.x[p]
-    elif backend == "scipy":
-        x = solve_with_scipy(lp)
-        shares = [max(Fraction(0), as_fraction(v)) for v in x[:p]]
-        t = as_fraction(x[p])
-        residue = problem.n - sum(shares, Fraction(0))
-        if residue != 0:
-            k = max(range(p), key=lambda i: shares[i])
-            if shares[k] + residue < 0:
-                raise ValueError("scipy LP solution too far from feasibility to repair")
-            shares[k] += residue
-    else:
-        raise ValueError(f"unknown LP backend {backend!r}")
-    return list(shares), t
+def solve_lp_rational(problem: ScatterProblem) -> Tuple[List[Fraction], Fraction]:
+    """Solve system (3) with the rational simplex (the paper's exact pipMP
+    resolution); returns ``(shares, T)`` with ``Σ shares = n`` exact."""
+    res = solve_simplex(build_scatter_lp(problem))
+    return list(res.x[: problem.p]), res.x[problem.p]
 
 
 def solve_heuristic(
     problem: ScatterProblem,
     *,
-    backend: str = "exact",
     rounding: RoundingFn = round_paper,
 ) -> DistributionResult:
     """LP heuristic: exact rational LP + §3.3 rounding + Eq. 4 bound.
@@ -121,19 +91,19 @@ def solve_heuristic(
     """
     prof = stage_profile()
     with prof.stage("lp_solve"):
-        shares, t_rat = solve_lp_rational(problem, backend=backend)
+        shares, t_rat = solve_lp_rational(problem)
     with prof.stage("rounding"):
         counts = rounding(shares, problem.n)
     with prof.stage("evaluate"):
         gap = guarantee_gap(problem)
         relaxed = relaxed_makespan(problem, counts)
-        if backend == "exact" and relaxed > t_rat + gap:
+        if relaxed > t_rat + gap:
             raise AssertionError(
                 f"Eq. 4 violated: T'={float(relaxed):.9g} > "
                 f"{float(t_rat):.9g} + {float(gap):.9g}"
             )
         exact_makespan = problem.makespan_exact(counts)
-    prof.note(backend=backend, p=problem.p, n=problem.n)
+    prof.note(p=problem.p, n=problem.n)
     info = {
         "rational_T": t_rat,
         "rational_shares": tuple(shares),
@@ -148,7 +118,7 @@ def solve_heuristic(
         problem=problem,
         counts=counts,
         makespan=float(exact_makespan),
-        algorithm=f"lp-heuristic[{backend}]",
+        algorithm="lp-heuristic[exact]",
         makespan_exact=exact_makespan,
         info=info,
     )

@@ -1,8 +1,7 @@
 """Float LP backend via :func:`scipy.optimize.linprog`.
 
-Used as an independent cross-check of the exact simplex (tests assert both
-backends agree to float precision) and as a faster option for very large
-processor counts where exact rational pivoting gets expensive.
+The float reference for the exact simplex: tests assert both agree to
+float precision.  No solver path calls it.
 """
 
 from __future__ import annotations

@@ -24,8 +24,9 @@ existing core:
   ``repro-scatter serve`` (JSONL on stdin/stdout).
 
 See ``docs/api.md`` §Serve for the fingerprint semantics, invalidation
-rules, and the executor matrix; ``benchmarks/bench_serve.py`` measures
-sustained plans/sec at 0/50/95% fingerprint-repeat mixes.
+rules, and the executor matrix.  The repository benchmark measures this
+layer with two workloads: ``serve-hot`` (JSONL requests, mostly cache
+hits) and ``serve-knee-churn`` (drifting knee platforms, warm misses).
 """
 
 from .cache import CachedPlan, PlanCache

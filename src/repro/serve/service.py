@@ -54,11 +54,7 @@ import threading
 import time
 from typing import Any, Callable, Dict, List, Optional
 
-from ..analysis.sweep import (
-    ParallelSweepEvaluator,
-    SequentialSweepEvaluator,
-    SweepEvaluator,
-)
+from ..analysis.sweep import SweepEvaluator, make_evaluator
 from ..core.distribution import DistributionResult, ScatterProblem
 from ..core.incremental import IncrementalPlanner
 from ..core.ordering import apply_policy
@@ -205,6 +201,9 @@ class PlanService:
         instead.
     backend:
         ``"sequential"`` (default), ``"thread"``, or ``"process"``.
+    workers:
+        Pool size for a ``"thread"`` or ``"process"`` backend (default:
+        the CPU count); rejected with the sequential backend.
     planner:
         Solve engine — any object with
         ``plan(problem) -> DistributionResult`` that is byte-identical
@@ -253,11 +252,8 @@ class PlanService:
                 raise ValueError("pass either executor= or backend=/workers=")
             self._executor = executor
             self._owns_executor = False
-        elif backend == "sequential":
-            self._executor = SequentialSweepEvaluator()
-            self._owns_executor = True
         else:
-            self._executor = ParallelSweepEvaluator(workers, backend=backend)
+            self._executor = make_evaluator(backend, workers)
             self._owns_executor = True
         self._lock = make_lock("PlanService._lock")
         self._inflight: Dict[str, _Flight] = {}

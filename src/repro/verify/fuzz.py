@@ -64,6 +64,7 @@ from .oracles import (
     ORACLES,
     OracleReport,
     oracle_ids,
+    plan_mismatch,
     run_oracles,
     solve_all,
 )
@@ -732,44 +733,6 @@ def _mutate_problem(
     return op, ScatterProblem(problem.processors, grown)
 
 
-def _plan_mismatch(
-    cold: DistributionResult, warm: DistributionResult
-) -> List[Tuple[str, str]]:
-    """Byte-exact comparison of a warm re-plan against the cold solve."""
-    out: List[Tuple[str, str]] = []
-    if warm.counts != cold.counts:
-        out.append(
-            (
-                "incremental-differential",
-                f"counts diverge: cold={cold.counts} incremental={warm.counts}",
-            )
-        )
-    elif warm.makespan_exact != cold.makespan_exact:
-        out.append(
-            (
-                "incremental-differential",
-                f"exact makespan diverges: cold={cold.makespan_exact} "
-                f"incremental={warm.makespan_exact}",
-            )
-        )
-    elif warm.makespan != cold.makespan:
-        out.append(
-            (
-                "incremental-differential",
-                f"float makespan diverges: cold={cold.makespan} "
-                f"incremental={warm.makespan}",
-            )
-        )
-    if warm.algorithm != cold.algorithm:
-        out.append(
-            (
-                "incremental-differential",
-                f"route diverges: cold={cold.algorithm} incremental={warm.algorithm}",
-            )
-        )
-    return out
-
-
 def fuzz_incremental(
     seeds: int = 50,
     *,
@@ -839,8 +802,8 @@ def fuzz_incremental(
             warm = planner.plan(step_problem)
             stats.solver_runs += 2
             step_failures = [
-                (oid, f"[{op}] {message}")
-                for oid, message in _plan_mismatch(cold, warm)
+                ("incremental-differential", f"[{op}] {message}")
+                for message in plan_mismatch(cold, warm)
             ]
             reports = run_oracles(
                 step_problem,

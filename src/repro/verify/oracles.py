@@ -90,6 +90,7 @@ __all__ = [
     "solve_all",
     "run_oracles",
     "incremental_schedule",
+    "plan_mismatch",
 ]
 
 #: Relative tolerance when comparing float-path solver output against the
@@ -596,6 +597,31 @@ def incremental_schedule(
     return steps
 
 
+def plan_mismatch(cold: DistributionResult, warm: DistributionResult) -> List[str]:
+    """How a warm re-plan differs from the cold solve of the same problem.
+
+    Counts first, then the exact and the float makespan, each compared
+    only while the fields before it agree; the route on its own.
+    """
+    if warm.counts != cold.counts:
+        out = [f"counts diverge: cold={cold.counts} warm={warm.counts}"]
+    elif warm.makespan_exact != cold.makespan_exact:
+        out = [
+            f"exact makespan diverges: cold={cold.makespan_exact} "
+            f"warm={warm.makespan_exact}"
+        ]
+    elif warm.makespan != cold.makespan:
+        out = [
+            f"float makespan diverges: cold={cold.makespan!r} "
+            f"warm={warm.makespan!r}"
+        ]
+    else:
+        out = []
+    if warm.algorithm != cold.algorithm:
+        out.append(f"route diverges: cold={cold.algorithm} warm={warm.algorithm}")
+    return out
+
+
 @register_oracle(
     "incremental-matches-cold",
     "IncrementalPlanner plans byte-match cold plan_scatter across a "
@@ -613,25 +639,9 @@ def _check_incremental_matches_cold(
         except ValueError:
             continue  # no auto route for this step; nothing to compare
         warm = planner.plan(step)
-        if warm.counts != cold.counts:
-            violations.append(
-                f"{label}: counts {warm.counts} != cold {cold.counts}"
-            )
-        elif warm.makespan != cold.makespan:
-            violations.append(
-                f"{label}: makespan {warm.makespan!r} != "
-                f"cold {cold.makespan!r}"
-            )
-        elif warm.makespan_exact != cold.makespan_exact:
-            violations.append(
-                f"{label}: makespan_exact {warm.makespan_exact} != "
-                f"cold {cold.makespan_exact}"
-            )
-        if warm.algorithm != cold.algorithm:
-            violations.append(
-                f"{label}: routed to {warm.algorithm!r}, "
-                f"cold chose {cold.algorithm!r}"
-            )
+        violations.extend(
+            f"{label}: {message}" for message in plan_mismatch(cold, warm)
+        )
     return violations
 
 

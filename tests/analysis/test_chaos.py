@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis import chaos_plan, chaos_sweep
 from repro.core import LinearCost
+from repro.obs.metrics import METRICS, MetricsRegistry
 from repro.simgrid import Host, Link, Platform
 
 
@@ -52,20 +53,32 @@ class TestChaosSweep:
     def test_rate_zero_replays_baseline(self):
         sweep = self.run_sweep()
         pt = sweep.points[0]
+        assert sweep.baseline_makespan > 0
         assert pt.rate == 0.0
         assert pt.makespan == sweep.baseline_makespan
         assert pt.degradation == 1.0
         assert pt.dead == 0 and pt.lost_items == 0
 
     def test_degradation_monotone_and_accounted(self):
+        before = METRICS.kinded_snapshot()
         sweep = self.run_sweep(rates=(0.0, 1 / 3, 2 / 3))
+        delta = MetricsRegistry.state_delta(before, METRICS.kinded_snapshot())
         degradations = [pt.degradation for pt in sweep.points]
         assert degradations == sorted(degradations)
+        for lower, higher in zip(sweep.points, sweep.points[1:]):
+            assert set(lower.killed) <= set(higher.killed)
+        # The receive-timeout safety net bounds the worst point (one
+        # timeout per exchange is about one baseline makespan).
+        assert degradations[-1] <= 10.0
         faulty = sweep.points[-1]
         assert faulty.dead >= 1
         assert faulty.replans >= 1
         # Conservation: everything computed either survived or was lost.
         assert faulty.computed_items + faulty.lost_items == sweep.n
+        # Every round moves data, and the failures force send retries.
+        assert delta["net.transfer.duration_s"][1]["count"] > 0
+        assert delta["mpi.send.retries"][1] > 0
+        assert delta["mpi.send.backoff_s"][1]["count"] > 0
 
     def test_deterministic(self):
         assert self.run_sweep().to_dict() == self.run_sweep().to_dict()

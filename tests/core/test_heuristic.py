@@ -14,6 +14,7 @@ from repro.core import (
     solve_lp_rational,
     solve_rational,
 )
+from repro.lp import build_scatter_lp, solve_with_scipy
 from repro.workloads import random_affine_problem, random_linear_problem
 
 
@@ -55,18 +56,9 @@ class TestLpRational:
     def test_scipy_backend_agrees(self, rng):
         for _ in range(5):
             prob = random_linear_problem(rng, rng.randint(2, 5), rng.randint(5, 50))
-            _, t_exact = solve_lp_rational(prob, backend="exact")
-            _, t_scipy = solve_lp_rational(prob, backend="scipy")
-            assert float(t_scipy) == pytest.approx(float(t_exact), rel=1e-6)
-
-    def test_scipy_shares_sum_exactly(self, rng):
-        prob = random_linear_problem(rng, 5, 97)
-        shares, _ = solve_lp_rational(prob, backend="scipy")
-        assert sum(shares) == prob.n
-
-    def test_unknown_backend(self, small_linear_problem):
-        with pytest.raises(ValueError, match="backend"):
-            solve_lp_rational(small_linear_problem, backend="cplex")
+            _, t_exact = solve_lp_rational(prob)
+            t_scipy = solve_with_scipy(build_scatter_lp(prob))[prob.p]
+            assert t_scipy == pytest.approx(float(t_exact), rel=1e-6)
 
 
 class TestHeuristic:
@@ -129,10 +121,6 @@ class TestHeuristic:
     def test_n_zero(self, tiny_linear_problem):
         h = solve_heuristic(tiny_linear_problem.with_n(0))
         assert h.counts == (0, 0, 0)
-
-    def test_algorithm_label_carries_backend(self, small_linear_problem):
-        h = solve_heuristic(small_linear_problem, backend="scipy")
-        assert h.algorithm == "lp-heuristic[scipy]"
 
 
 class TestRelaxedMakespan:

@@ -34,6 +34,37 @@ def assert_byte_match(warm, cold):
     assert warm.algorithm == cold.algorithm
 
 
+def assert_front_cascade(problem):
+    """Kill the front processor until two are left: every re-plan warm-starts
+    from the previous survivors' rows and byte-matches a cold solve."""
+    planner = IncrementalPlanner()
+    current = problem
+    planner.plan(current)
+    while current.p > 2:
+        current = ScatterProblem(current.processors[1:], current.n)
+        warm = planner.plan(current)
+        assert_byte_match(warm, plan_scatter(current, order_policy=None))
+        assert warm.info["incremental"]["warm_rows"] == current.p
+    assert planner.stats()["warm_plans"] == problem.p - 2
+
+
+def wide_knee_problem(p, n, seed=7):
+    """Piecewise-linear links with one knee in the first third of [0, n]."""
+    rng = random.Random(seed)
+
+    def knee():
+        x1 = rng.randint(1, max(1, n // 3))
+        r1 = rng.uniform(1e-6, 5e-5)
+        r2 = rng.uniform(1e-6, 5e-5)
+        return PiecewiseLinearCost(
+            [(0, 0), (x1, r1 * x1), (n, r1 * x1 + r2 * (n - x1))]
+        )
+
+    procs = [Processor(f"P{i + 1}", knee(), knee()) for i in range(p - 1)]
+    procs.append(Processor(f"P{p}", ZeroCost(), knee()))
+    return ScatterProblem(procs, n)
+
+
 @pytest.fixture
 def tab_problem():
     """Increasing tabulated costs: the auto route is dp-fast."""
@@ -81,15 +112,15 @@ class TestRemoval:
         assert warm.info["incremental"]["warm_rows"] == survivor.p - victim
 
     def test_cascade_warm_starts_from_previous_survivors(self, tab_problem):
-        planner = IncrementalPlanner()
-        current = tab_problem
-        planner.plan(current)
-        while current.p > 2:
-            current = ScatterProblem(current.processors[1:], current.n)
-            warm = planner.plan(current)
-            assert_byte_match(warm, plan_scatter(current, order_policy=None))
-            assert warm.info["incremental"]["warm_rows"] == current.p
-        assert planner.stats()["warm_plans"] == tab_problem.p - 2
+        assert_front_cascade(tab_problem)
+
+    @pytest.mark.parametrize("n", [
+        10_000,
+        pytest.param(100_000, marks=pytest.mark.slow),
+    ])
+    def test_cascade_on_wide_knee_platform(self, n):
+        """p=8 bandwidth knees spanning [0, n], killed front-first."""
+        assert_front_cascade(wide_knee_problem(8, n))
 
     def test_identical_replan_is_pure_reconstruction(self, tab_problem):
         planner = IncrementalPlanner()

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -18,7 +19,7 @@ from repro.core import (
     ZeroCost,
     plan_scatter,
 )
-from repro.core.costs import CallableCost, LinearCost
+from repro.core.costs import CallableCost, LinearCost, scale_cost
 from repro.analysis.sweep import ParallelSweepEvaluator, SequentialSweepEvaluator
 from repro.obs.metrics import METRICS
 from repro.serve import PlanService
@@ -218,6 +219,28 @@ class TestServedPlansPassOracles:
                 ]
 
 
+class TestRepeatPerturbStream:
+    @pytest.mark.parametrize("repeat", [0.0, 0.5, 0.95])
+    def test_every_response_matches_cold(self, repeat):
+        """Each request repeats the current knee platform (a hit) or scales
+        its front compute cost (a miss that re-plans warm)."""
+        rng = random.Random(7)
+        current = _knee_problem(p=8, n=4_000, seed=7)
+        with PlanService(order_policy=None) as svc:
+            for step in range(24):
+                if step and rng.random() >= repeat:
+                    front = current.processors[0]
+                    scaled = scale_cost(front.comp, Fraction(1001 + step % 37, 1000))
+                    current = ScatterProblem(
+                        [Processor(front.name, front.comm, scaled),
+                         *current.processors[1:]],
+                        current.n,
+                    )
+                _assert_matches_cold(
+                    svc.plan(current), plan_scatter(current, order_policy=None)
+                )
+
+
 class TestCacheAndInvalidation:
     def test_second_request_hits(self):
         problem = _linear_problem()
@@ -309,6 +332,12 @@ class TestServiceLifecycle:
     def test_executor_and_backend_mutually_exclusive(self):
         with pytest.raises(ValueError):
             PlanService(executor=SequentialSweepEvaluator(), backend="thread")
+
+    def test_backend_and_workers_validated(self):
+        with pytest.raises(ValueError, match="workers needs a pool backend"):
+            PlanService(workers=4)
+        with pytest.raises(ValueError, match="'sequential', 'thread', 'process'"):
+            PlanService(backend="bogus")
 
     def test_latency_metrics_populate(self):
         problem = _linear_problem()

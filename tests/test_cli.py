@@ -205,3 +205,11 @@ class TestSweepCommand:
     def test_bad_dimension(self):
         with pytest.raises(SystemExit):
             main(["sweep", "latency"])
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "heterogeneity", "--p", "4", "--n", "100", "--workers", "2"],
+        ["serve", "--workers", "2"],
+    ])
+    def test_workers_without_pool_backend_is_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        assert "workers needs a pool backend" in capsys.readouterr().err

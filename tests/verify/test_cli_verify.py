@@ -87,6 +87,14 @@ class TestVerifyCli:
         assert code == 2
         assert "--oracle cannot be combined" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["incremental", "tree"])
+    def test_differential_modes_reject_guided(self, mode, capsys):
+        code = main(["verify", "--mode", mode, "--guided", "--seeds", "2"])
+        assert code == 2
+        assert f"--guided cannot be combined with --mode {mode}" in (
+            capsys.readouterr().err
+        )
+
 
 class TestVerifyCliFailurePath:
     @pytest.fixture
