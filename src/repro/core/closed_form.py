@@ -21,11 +21,18 @@ filter below is exactly the induction that establishes the theorem.
     D(P_p)        = α_p + β_p
     D(P_i, S)     = (α_i + β_i) · k / (α_i + k)     with  k = D(S)
 
-Everything in this module is exact (``fractions.Fraction``).
+Everything in this module is exact.  :func:`solve_rational` runs in one
+integer pass: α and β scaled to integers over their common denominator,
+Theorem 2's filter and ``D`` carried as one integer pair, the shares built
+from running prefix products, one ``Fraction`` each at the end.  The
+``Fraction`` forms (:func:`simultaneous_endings_mask`, :func:`chain_rate`,
+:func:`chain_rate_sum_form`) stay as the independent checks the Theorem
+1/2 oracles and tests use.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
@@ -136,35 +143,64 @@ class RationalSolution:
 
 
 def solve_rational(problem: ScatterProblem) -> RationalSolution:
-    """Optimal rational distribution for linear costs (Theorems 1 + 2)."""
+    """Optimal rational distribution for linear costs (Theorems 1 + 2).
+
+    One pass in integers: α and β are scaled by ``L``, the lcm of their
+    denominators, to ``a_i`` and ``b_i``, and Theorem 2's right-to-left
+    filter carries ``L·D(active suffix)`` as the pair ``N/M`` — processor
+    ``i`` is active iff ``b_i·M <= N``, and joining it maps ``(N, M)`` to
+    ``((a_i+b_i)·N, a_i·M + N)``, the chain-rate recurrence.  The final
+    pair is ``L·D`` of the active chain, so Eq. 8's shares are
+
+        n_i = n·N·Π_{j<i} a_j / (M·Π_{j<=i} (a_j+b_j))      (active j only)
+
+    built from running integer prefix products, one ``Fraction`` each.
+    :func:`simultaneous_endings_mask` and :func:`chain_rate` compute the
+    same mask and ``D`` in ``Fraction`` arithmetic; the oracles use them
+    as the independent check.
+    """
     procs = problem.processors
     alphas, betas = _linear_coeffs(procs)
-    active = simultaneous_endings_mask(procs)
-    sub = [proc for proc, a in zip(procs, active) if a]
-    d = chain_rate(sub)
-    t = problem.n * d
+    n, p = problem.n, problem.p
+    scale = math.lcm(*[x.denominator for x in alphas + betas])
+    a = [x.numerator * (scale // x.denominator) for x in alphas]
+    b = [x.numerator * (scale // x.denominator) for x in betas]
 
-    shares = [Fraction(0)] * problem.p
-    prefix = Fraction(1)
-    for i in range(len(procs)):
-        if not active[i]:
-            continue
-        denom = alphas[i] + betas[i]
-        if denom == 0:
-            # Free processor: the chain rate is 0 and this processor can
-            # absorb everything instantly; give it all remaining items.
-            shares[i] = problem.n - sum(shares, Fraction(0))
-            prefix = Fraction(0)
-            continue
-        shares[i] = prefix / denom * t  # Eq. 8
-        prefix *= alphas[i] / denom
-    # Guard against rounding of the chain recurrence: shares must sum to n.
-    total = sum(shares, Fraction(0))
-    if total != problem.n:
-        raise AssertionError(
-            f"rational shares sum to {total} != n={problem.n}; "
-            "chain-rate recurrence is inconsistent"
-        )
+    active = [False] * p
+    active[p - 1] = True
+    num, den = a[-1] + b[-1], 1
+    for i in range(p - 2, -1, -1):
+        if b[i] * den <= num:
+            active[i] = True
+            if a[i] * den + num == 0:
+                # Both this processor's compute rate and the tail are free.
+                num, den = 0, 1
+            else:
+                num, den = (a[i] + b[i]) * num, a[i] * den + num
+    t = Fraction(n * num, den * scale)
+
+    shares = [Fraction(0)] * p
+    free = [i for i in range(p) if active[i] and a[i] + b[i] == 0]
+    if free:
+        # A free processor makes the chain rate 0: the first one absorbs
+        # all items instantly and everyone else gets none.
+        shares[free[0]] = Fraction(n)
+    else:
+        # Σ shares kept as total / (M·Π (a_j+b_j)) for the Σ = n check.
+        prefix_num, prefix_den, total = 1, den, 0
+        for i in range(p):
+            if active[i]:
+                rate = a[i] + b[i]
+                prefix_den *= rate
+                share_num = n * num * prefix_num
+                shares[i] = Fraction(share_num, prefix_den)  # Eq. 8
+                total = total * rate + share_num
+                prefix_num *= a[i]
+        if total != n * prefix_den:
+            raise AssertionError(
+                f"rational shares sum to {Fraction(total, prefix_den)} != n={n}; "
+                "chain-rate recurrence is inconsistent"
+            )
     return RationalSolution(tuple(shares), t, tuple(active))
 
 

@@ -18,23 +18,44 @@ Two schemes are provided:
 * :func:`round_largest_remainder` — the classic Hamilton apportionment
   (floor everything, give the leftover units to the largest fractional
   parts), used as an ablation baseline; it satisfies the same invariants.
+
+Both work in integers over one common denominator: the shares are put
+over ``D``, the lcm of their denominators, once, so each share is an
+integer ``N_i`` with fractional part ``r_i = N_i mod D``.  The paper's
+procedure re-scans the pending shares for every pick (O(p²) ``Fraction``
+work, kept as :func:`repro.verify.references.round_paper_reference`);
+here each of its three orders — nearest the floor, nearest the ceiling,
+nearest any integer — is sorted once with the same ``(key, i)``
+tie-break, so a call costs O(p log p) integer comparisons and returns
+the same counts.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 __all__ = ["round_paper", "round_largest_remainder", "check_rounding"]
 
 
-def _validate_input(shares: Sequence[Fraction], n: int) -> List[Fraction]:
-    vals = [Fraction(s) for s in shares]
-    if any(v < 0 for v in vals):
+def _over_common_denominator(shares: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """``(N, D)`` with ``shares[i] == N[i] / D`` and ``D`` the lcm of denominators."""
+    vals = [s if isinstance(s, (int, Fraction)) else Fraction(s) for s in shares]
+    denom = math.lcm(*[v.denominator for v in vals])
+    return [v.numerator * (denom // v.denominator) for v in vals], denom
+
+
+def _validate_input(shares: Sequence[Fraction], n: int) -> Tuple[List[int], int]:
+    nums, denom = _over_common_denominator(shares)
+    if any(v < 0 for v in nums):
         raise ValueError(f"rational shares must be >= 0, got {shares!r}")
-    if sum(vals) != n:
-        raise ValueError(f"rational shares sum to {float(sum(vals))}, expected {n}")
-    return vals
+    total = sum(nums)
+    if total != n * denom:
+        raise ValueError(
+            f"rational shares sum to {float(Fraction(total, denom))}, expected {n}"
+        )
+    return nums, denom
 
 
 def round_paper(shares: Sequence[Fraction], n: int) -> Tuple[int, ...]:
@@ -47,58 +68,81 @@ def round_paper(shares: Sequence[Fraction], n: int) -> Tuple[int, ...]:
     its floor (when positive), keeping ``|e| < 1`` throughout.  The very
     last share absorbs the residue exactly.
     """
-    vals = _validate_input(shares, n)
-    out: List[int] = [0] * len(vals)
-    pending = [i for i, v in enumerate(vals) if v.denominator != 1]
-    for i, v in enumerate(vals):
-        if v.denominator == 1:
-            out[i] = int(v)
+    nums, denom = _validate_input(shares, n)
+    out = [v // denom for v in nums]
+    rem = [v % denom for v in nums]
+    pending = [i for i, r in enumerate(rem) if r]
     if not pending:
         return tuple(out)
 
-    e = Fraction(0)
-    while len(pending) > 1:
-        if e < 0:
-            # Under-allocated so far: round up the share nearest its ceiling.
-            idx = min(pending, key=lambda i: ( -(vals[i]) % 1, i))
-            rounded = int(-(-vals[idx] // 1))  # ceil
-        elif e > 0:
-            # Over-allocated: round down the share nearest its floor.
-            idx = min(pending, key=lambda i: (vals[i] % 1, i))
-            rounded = int(vals[idx] // 1)  # floor
-        else:
-            # No error yet: round the share nearest to *any* integer.
-            def dist_to_int(i: int) -> Fraction:
-                frac = vals[i] % 1
-                return min(frac, 1 - frac)
+    # Each order lists the pending indices by (distance, index): a stable
+    # sort of the ascending ``pending`` keeps the index tie-break.
+    by_floor = sorted(pending, key=rem.__getitem__)
+    by_ceil = sorted(pending, key=lambda i: denom - rem[i])
+    by_nearest = sorted(pending, key=lambda i: min(rem[i], denom - rem[i]))
+    orders = (by_nearest, by_ceil, by_floor)
+    heads = [0, 0, 0]
+    done = [False] * len(nums)
 
-            idx = min(pending, key=lambda i: (dist_to_int(i), i))
-            frac = vals[idx] % 1
-            rounded = int(vals[idx] // 1) + (1 if frac >= Fraction(1, 2) else 0)
-        out[idx] = rounded
-        e += rounded - vals[idx]
-        pending.remove(idx)
+    e = 0  # accumulated error Σ (n'_j − n_j), in units of 1/D
+    for _ in range(len(pending) - 1):
+        # 1: under-allocated, round up; 2: over-allocated, round down;
+        # 0: no error yet, round to the nearest integer (halves go up).
+        which = 1 if e < 0 else 2 if e > 0 else 0
+        order, k = orders[which], heads[which]
+        while done[order[k]]:
+            k += 1
+        heads[which] = k + 1
+        idx = order[k]
+        done[idx] = True
+        r = rem[idx]
+        if which == 1 or (which == 0 and 2 * r >= denom):
+            out[idx] += 1
+            e += denom - r
+        else:
+            e -= r
 
     # Absorb the residue: n'_k = n_k − e keeps the total exactly n.
-    last = pending[0]
-    final = vals[last] - e
-    if final.denominator != 1:
-        raise AssertionError(f"rounding residue is not integral: {final}")
-    out[last] = int(final)
-    return check_rounding(vals, tuple(out), n)
+    last = next(i for i in pending if not done[i])
+    final, residue = divmod(nums[last] - e, denom)
+    if residue:
+        raise AssertionError(
+            f"rounding residue is not integral: {Fraction(nums[last] - e, denom)}"
+        )
+    out[last] = final
+    return _check_units(nums, denom, tuple(out), n)
 
 
 def round_largest_remainder(shares: Sequence[Fraction], n: int) -> Tuple[int, ...]:
     """Hamilton / largest-remainder apportionment (ablation baseline)."""
-    vals = _validate_input(shares, n)
-    floors = [int(v // 1) for v in vals]
-    leftover = n - sum(floors)
-    # Give one extra unit to the `leftover` largest fractional parts.
-    order = sorted(range(len(vals)), key=lambda i: (vals[i] % 1, -i), reverse=True)
-    out = list(floors)
-    for i in order[:leftover]:
+    nums, denom = _validate_input(shares, n)
+    out = [v // denom for v in nums]
+    rem = [v % denom for v in nums]
+    leftover = n - sum(out)
+    # One extra unit to the `leftover` largest remainders, lowest index
+    # first among equals (``reverse`` keeps the sort stable).
+    for i in sorted(range(len(nums)), key=rem.__getitem__, reverse=True)[:leftover]:
         out[i] += 1
-    return check_rounding(vals, tuple(out), n)
+    return _check_units(nums, denom, tuple(out), n)
+
+
+def _check_units(
+    nums: Sequence[int], denom: int, counts: Tuple[int, ...], n: int
+) -> Tuple[int, ...]:
+    """:func:`check_rounding` on shares already put over ``denom``."""
+    if len(nums) != len(counts):
+        raise AssertionError("share/count length mismatch")
+    if sum(counts) != n:
+        raise AssertionError(f"rounded counts sum to {sum(counts)}, expected {n}")
+    for i, (v, c) in enumerate(zip(nums, counts)):
+        if c < 0:
+            raise AssertionError(f"rounded count {i} is negative: {c}")
+        if abs(c * denom - v) >= denom:
+            share = float(Fraction(v, denom))
+            raise AssertionError(
+                f"rounded count {i} ({c}) differs from share ({share:.6g}) by >= 1"
+            )
+    return counts
 
 
 def check_rounding(
@@ -109,15 +153,5 @@ def check_rounding(
     Invariants: integer counts, non-negative, sum to ``n``, and each within
     one unit of its rational share (the hypothesis of Eq. 4).
     """
-    if len(shares) != len(counts):
-        raise AssertionError("share/count length mismatch")
-    if sum(counts) != n:
-        raise AssertionError(f"rounded counts sum to {sum(counts)}, expected {n}")
-    for i, (s, c) in enumerate(zip(shares, counts)):
-        if c < 0:
-            raise AssertionError(f"rounded count {i} is negative: {c}")
-        if abs(Fraction(c) - Fraction(s)) >= 1:
-            raise AssertionError(
-                f"rounded count {i} ({c}) differs from share ({float(s):.6g}) by >= 1"
-            )
-    return counts
+    nums, denom = _over_common_denominator(shares)
+    return _check_units(nums, denom, counts, n)

@@ -18,7 +18,7 @@ Metrics (``repro.obs.metrics.METRICS``):
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any, Dict, Optional, Tuple
 
@@ -49,6 +49,13 @@ class CachedPlan:
 class PlanCache:
     """Thread-safe LRU of :class:`CachedPlan` keyed by fingerprint key.
 
+    Stored entries share their cost-key strings: :meth:`put` swaps each
+    key for the copy a live entry already holds, so the plans of a
+    drifting platform keep one string per unchanged cost.  The shared
+    copies are reference-counted by the entries using them and dropped
+    with the last one (``sys.intern`` would share them too, but Python
+    3.12 never frees an interned string).
+
     Parameters
     ----------
     maxsize:
@@ -71,6 +78,9 @@ class PlanCache:
         self._entries: "OrderedDict[str, Tuple[CachedPlan, Optional[float]]]" = (
             OrderedDict()
         )
+        #: Each live cost key's shared string, and how many entries hold it.
+        self._key_strings: Dict[str, str] = {}
+        self._key_refs: Dict[str, int] = {}
         self._lock = make_lock("PlanCache._lock")
         self.hits = 0
         self.misses = 0
@@ -84,7 +94,7 @@ class PlanCache:
             if entry is not None:
                 plan, expires_at = entry
                 if expires_at is not None and now >= expires_at:
-                    del self._entries[key]
+                    self._remove(key)
                     self.expired += 1
                     METRICS.counter("serve.cache.expired").inc()
                 else:
@@ -102,10 +112,12 @@ class PlanCache:
             return
         expires_at = None if self.ttl is None else now + self.ttl
         with self._lock:
+            if key in self._entries:
+                self._remove(key)
+            plan = replace(plan, cost_keys=self._share(plan.cost_keys))
             self._entries[key] = (plan, expires_at)
-            self._entries.move_to_end(key)
             while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
+                self._remove(next(iter(self._entries)))
                 self.evictions += 1
                 METRICS.counter("serve.cache.evictions").inc()
 
@@ -113,7 +125,7 @@ class PlanCache:
         """Drop one entry; True if it existed."""
         with self._lock:
             if key in self._entries:
-                del self._entries[key]
+                self._remove(key)
                 self.evictions += 1
                 METRICS.counter("serve.cache.evictions").inc()
                 return True
@@ -134,7 +146,7 @@ class PlanCache:
                 if cost_key in plan.cost_keys
             ]
             for k in doomed:
-                del self._entries[k]
+                self._remove(k)
             self.evictions += len(doomed)
             if doomed:
                 METRICS.counter("serve.cache.evictions").inc(len(doomed))
@@ -144,6 +156,27 @@ class PlanCache:
         with self._lock:
             self.evictions += len(self._entries)
             self._entries.clear()
+            self._key_strings.clear()
+            self._key_refs.clear()
+
+    def _share(self, cost_keys: Tuple[str, ...]) -> Tuple[str, ...]:
+        """``cost_keys`` as the live entries' strings (holds ``_lock``)."""
+        shared = []
+        for k in cost_keys:
+            k = self._key_strings.setdefault(k, k)
+            self._key_refs[k] = self._key_refs.get(k, 0) + 1
+            shared.append(k)
+        return tuple(shared)
+
+    def _remove(self, key: str) -> None:
+        """Drop ``key``'s entry and release its cost keys (holds ``_lock``)."""
+        plan, _ = self._entries.pop(key)
+        for k in plan.cost_keys:
+            left = self._key_refs[k] - 1
+            if left:
+                self._key_refs[k] = left
+            else:
+                del self._key_refs[k], self._key_strings[k]
 
     def __len__(self) -> int:
         with self._lock:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Tuple
 
 from repro.obs.events import (
@@ -454,13 +454,13 @@ def describe_primitive(prim: SimPrimitive) -> str:
     return repr(prim)
 
 
-@dataclass(order=True, slots=True)
+@dataclass(slots=True)
 class _QueuedEvent:
-    time: float
-    seq: int
-    fn: Callable = field(compare=False)
-    args: Tuple = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    """A scheduled call; the heap orders it by its ``(time, seq)`` key."""
+
+    fn: Callable
+    args: Tuple
+    cancelled: bool = False
 
 
 class Simulator:
@@ -468,7 +468,9 @@ class Simulator:
 
     def __init__(self, bus: Optional[EventBus] = None) -> None:
         self.now: float = 0.0
-        self._queue: List[_QueuedEvent] = []
+        #: ``(time, seq, event)`` entries: ``seq`` is unique, so the heap
+        #: compares plain tuples and never reaches the event.
+        self._queue: List[Tuple[float, int, _QueuedEvent]] = []
         self._seq = 0
         self._processes: List[Process] = []
         #: Structured observability channel; zero-cost while unsubscribed.
@@ -479,9 +481,9 @@ class Simulator:
         """Run ``fn(*args)`` after ``delay`` simulated seconds."""
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
-        ev = _QueuedEvent(self.now + delay, self._seq, fn, args)
+        ev = _QueuedEvent(fn, args)
+        heapq.heappush(self._queue, (self.now + delay, self._seq, ev))
         self._seq += 1
-        heapq.heappush(self._queue, ev)
         return ev
 
     def cancel(self, ev: _QueuedEvent) -> None:
@@ -509,17 +511,19 @@ class Simulator:
         process is still blocked — e.g. a receive with no matching send.
         Returns the final simulated time.
         """
-        while self._queue:
-            ev = heapq.heappop(self._queue)
+        queue = self._queue
+        while queue:
+            entry = heapq.heappop(queue)
+            time, _, ev = entry
             if ev.cancelled:
                 continue
-            if until is not None and ev.time > until:
-                heapq.heappush(self._queue, ev)
+            if until is not None and time > until:
+                heapq.heappush(queue, entry)
                 self.now = until
                 return self.now
-            if ev.time < self.now:
+            if time < self.now:
                 raise AssertionError("event queue went backwards")
-            self.now = ev.time
+            self.now = time
             ev.fn(*ev.args)
         blocked = [p for p in self._processes if p.alive]
         if blocked and until is None:

@@ -19,11 +19,16 @@ nothing else.  :func:`solve_reference` validates the problem exactly as
 :func:`~repro.core.solver.plan_scatter` does, so
 :func:`repro.verify.oracles.solve_all` can run them under the same names
 and record the same crashes.
+
+:func:`round_paper_reference` is the paper's §3.3 rounding loop as
+written — an O(p²) ``Fraction`` re-scan of the pending shares per pick —
+which :func:`repro.core.rounding.round_paper` must match count for count.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from fractions import Fraction
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,10 +36,12 @@ from ..core.costs import CostTableCache, cost_tables, get_default_cost_cache
 from ..core.distribution import DistributionResult, ScatterProblem
 from ..core.dp_basic import _reconstruct
 from ..core.dp_fast import _RowScratch, _pivot_staircase
+from ..core.rounding import check_rounding
 from ..obs.profiler import stage_profile
 
 __all__ = [
     "REFERENCES",
+    "round_paper_reference",
     "solve_dp_basic_vectorized",
     "solve_dp_monotone",
     "solve_reference",
@@ -232,6 +239,60 @@ def solve_dp_monotone(
         algorithm="dp-monotone",
         info=info,
     )
+
+
+def round_paper_reference(shares: Sequence[Fraction], n: int) -> Tuple[int, ...]:
+    """The paper's §3.3 rounding, one ``Fraction`` scan of the pending shares per pick.
+
+    The first pick is the share nearest any integer, rounded to it (an
+    exact half goes up); while the accumulated error ``e = Σ (n'_j − n_j)``
+    is negative the next pick is the share nearest its ceiling, while
+    positive the share nearest its floor; ties go to the lowest index.
+    The last share absorbs ``n'_k = n_k − e``.
+    """
+    vals = [Fraction(s) for s in shares]
+    if any(v < 0 for v in vals):
+        raise ValueError(f"rational shares must be >= 0, got {shares!r}")
+    if sum(vals) != n:
+        raise ValueError(f"rational shares sum to {float(sum(vals))}, expected {n}")
+    out: List[int] = [0] * len(vals)
+    pending = [i for i, v in enumerate(vals) if v.denominator != 1]
+    for i, v in enumerate(vals):
+        if v.denominator == 1:
+            out[i] = int(v)
+    if not pending:
+        return tuple(out)
+
+    e = Fraction(0)
+    while len(pending) > 1:
+        if e < 0:
+            # Under-allocated so far: round up the share nearest its ceiling.
+            idx = min(pending, key=lambda i: (-(vals[i]) % 1, i))
+            rounded = int(-(-vals[idx] // 1))  # ceil
+        elif e > 0:
+            # Over-allocated: round down the share nearest its floor.
+            idx = min(pending, key=lambda i: (vals[i] % 1, i))
+            rounded = int(vals[idx] // 1)  # floor
+        else:
+            # No error yet: round the share nearest to *any* integer.
+            def dist_to_int(i: int) -> Fraction:
+                frac = vals[i] % 1
+                return min(frac, 1 - frac)
+
+            idx = min(pending, key=lambda i: (dist_to_int(i), i))
+            frac = vals[idx] % 1
+            rounded = int(vals[idx] // 1) + (1 if frac >= Fraction(1, 2) else 0)
+        out[idx] = rounded
+        e += rounded - vals[idx]
+        pending.remove(idx)
+
+    # Absorb the residue: n'_k = n_k − e keeps the total exactly n.
+    last = pending[0]
+    final = vals[last] - e
+    if final.denominator != 1:
+        raise AssertionError(f"rounding residue is not integral: {final}")
+    out[last] = int(final)
+    return check_rounding(vals, tuple(out), n)
 
 
 #: The cross-check kernels, by the algorithm name their results carry.

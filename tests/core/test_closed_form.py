@@ -1,8 +1,11 @@
 """Tests for the §4 closed form (Theorems 1 and 2)."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     Processor,
@@ -14,7 +17,9 @@ from repro.core import (
     solve_dp_optimized,
     solve_rational,
 )
+from repro.core.closed_form import RationalSolution
 from repro.core.costs import AffineCost
+from repro.verify.fuzz import generate_instance
 from repro.workloads import random_linear_problem
 
 
@@ -151,3 +156,63 @@ class TestClosedFormInteger:
         cf = solve_closed_form(tiny_linear_problem.with_n(0))
         assert cf.counts == (0, 0, 0)
         assert cf.makespan == 0.0
+
+
+def _three_step_rational(problem):
+    """Theorems 1–2 as three ``Fraction`` passes: the Theorem 2 mask,
+    ``chain_rate`` over the active processors, then Eq. 8's shares."""
+    procs = problem.processors
+    active = simultaneous_endings_mask(procs)
+    t = problem.n * chain_rate([proc for proc, a in zip(procs, active) if a])
+    shares = [Fraction(0)] * problem.p
+    prefix = Fraction(1)
+    for i, proc in enumerate(procs):
+        if not active[i]:
+            continue
+        denom = proc.alpha + proc.beta
+        if denom == 0:
+            shares[i] = problem.n - sum(shares, Fraction(0))
+            prefix = Fraction(0)
+            continue
+        shares[i] = prefix / denom * t
+        prefix *= proc.alpha / denom
+    return RationalSolution(tuple(shares), t, tuple(active))
+
+
+@st.composite
+def linear_platforms(draw):
+    """Linear instances with dropped processors and free (α+β=0) ones:
+    the fuzzer's linear-family shapes plus chains up to p = 48."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kind = draw(st.sampled_from(["linear", "adversarial", "degenerate", "chain"]))
+    if kind == "chain":
+        return random_linear_problem(
+            rng, rng.randint(1, 48), rng.randint(0, 10**6), beta_range=(1e-6, 1e-1)
+        )
+    return generate_instance(kind, rng)
+
+
+class TestOneIntegerPass:
+    """``solve_rational``'s integer pass equals the three-step composition."""
+
+    @given(linear_platforms())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_three_step_composition(self, prob):
+        assert solve_rational(prob) == _three_step_rational(prob)
+
+    @pytest.mark.parametrize(
+        "specs",
+        [
+            [(0.1, 100.0), (0.2, 0.001), (0.3, 50.0), (1.0, 0.0)],  # two dropped
+            [(0.5, 0.01), (0.0, 0.0), (0.2, 0.02), (1.0, 0.0)],  # free, mid-chain
+            [(0.5, 0.0), (0.0, 0.0), (0.0, 0.0), (1.0, 0.0)],  # two free
+            [(0.5, 0.01), (0.3, 0.02), (0.0, 0.0)],  # free root
+            [(1.0, 3.0), (2.0, 1.0)],  # β exactly at the Theorem 2 threshold
+        ],
+    )
+    def test_drops_and_free_processors(self, specs):
+        for n in (0, 1, 17, 1000):
+            prob = linear_problem(specs, n)
+            rat = solve_rational(prob)
+            assert rat == _three_step_rational(prob)
+            assert sum(rat.shares) == n

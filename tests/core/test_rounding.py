@@ -1,13 +1,19 @@
 """Tests for the §3.3 rounding schemes."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import round_largest_remainder, round_paper
+from repro.core import round_largest_remainder, round_paper, solve_rational
+from repro.core.heuristic import solve_lp_rational
 from repro.core.rounding import check_rounding
+from repro.verify.fuzz import generate_instance
+from repro.verify.references import round_paper_reference
+from repro.workloads import random_affine_problem, random_linear_problem
 
 F = Fraction
 
@@ -227,3 +233,93 @@ class TestCheckRounding:
     def test_rejects_length_mismatch(self):
         with pytest.raises(AssertionError):
             check_rounding([F(1)], (1, 0), 1)
+
+
+def _largest_remainder_by_fraction_sort(shares, n):
+    """Hamilton apportionment as one ``Fraction`` sort by (remainder, −i)."""
+    vals = [F(s) for s in shares]
+    out = [int(v // 1) for v in vals]
+    order = sorted(range(len(vals)), key=lambda i: (vals[i] % 1, -i), reverse=True)
+    for i in order[: n - sum(out)]:
+        out[i] += 1
+    return tuple(out)
+
+
+@st.composite
+def tie_heavy_shares(draw):
+    """Shares over denominators 2–12 with exact halves, zeros and integers
+    mixed in (n <= 50), so all three pick orders meet equal distances and
+    the index tie-break decides."""
+    part = st.one_of(
+        st.integers(min_value=0, max_value=4).map(F),
+        st.integers(min_value=0, max_value=3).map(lambda k: F(2 * k + 1, 2)),
+        st.integers(min_value=2, max_value=12).flatmap(
+            lambda d: st.integers(min_value=0, max_value=4 * d).map(lambda k: F(k, d))
+        ),
+    )
+    shares = draw(st.lists(part, min_size=1, max_size=12))
+    total = sum(shares, F(0))
+    n = math.ceil(total)
+    # The residue goes in at a drawn position, not always last.
+    at = draw(st.integers(min_value=0, max_value=len(shares)))
+    shares.insert(at, n - total)
+    return shares, n
+
+
+@st.composite
+def solver_shares(draw):
+    """Rational optima the closed form and the LP hand to the rounding:
+    the fuzzer's linear-family and affine platforms, plus random linear
+    chains up to p = 48 at n up to 10^6."""
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = random.Random(seed)
+    kind = draw(st.sampled_from(
+        ["linear", "adversarial", "degenerate", "affine", "chain", "lp-chain"]
+    ))
+    if kind == "chain":
+        prob = random_linear_problem(rng, rng.randint(2, 48), rng.randint(0, 10**6))
+    elif kind == "lp-chain":
+        prob = random_affine_problem(rng, rng.randint(2, 12), rng.randint(1, 10**6))
+    else:
+        prob = generate_instance(kind, rng)
+    if prob.is_linear and kind != "affine":
+        return list(solve_rational(prob).shares), prob.n
+    return solve_lp_rational(prob)[0], prob.n
+
+
+class TestMatchesPaperLoop:
+    """The common-denominator rounding returns exactly the counts of the
+    paper's O(p²) ``Fraction`` loop (``round_paper_reference``), and the
+    integer Hamilton sort those of the ``Fraction`` sort."""
+
+    @given(tie_heavy_shares())
+    @settings(max_examples=400, deadline=None)
+    def test_tie_heavy_shares(self, case):
+        shares, n = case
+        assert round_paper(shares, n) == round_paper_reference(shares, n)
+        assert round_largest_remainder(shares, n) == (
+            _largest_remainder_by_fraction_sort(shares, n)
+        )
+
+    @given(solver_shares())
+    @settings(max_examples=120, deadline=None)
+    def test_solver_shares(self, case):
+        shares, n = case
+        assert round_paper(shares, n) == round_paper_reference(shares, n)
+        assert round_largest_remainder(shares, n) == (
+            _largest_remainder_by_fraction_sort(shares, n)
+        )
+
+    @given(rational_solutions())
+    @settings(max_examples=200, deadline=None)
+    def test_random_rational_solutions(self, case):
+        shares, n = case
+        assert round_paper(shares, n) == round_paper_reference(shares, n)
+
+    def test_same_errors_as_paper_loop(self):
+        for shares, n in (([F(-1, 2), F(5, 2)], 2), ([F(1, 2), F(1, 2)], 2)):
+            with pytest.raises(ValueError) as ours:
+                round_paper(shares, n)
+            with pytest.raises(ValueError) as ref:
+                round_paper_reference(shares, n)
+            assert str(ours.value) == str(ref.value)

@@ -22,7 +22,7 @@ from repro.core import (
 from repro.core.costs import CallableCost, LinearCost, scale_cost
 from repro.analysis.sweep import ParallelSweepEvaluator, SequentialSweepEvaluator
 from repro.obs.metrics import METRICS
-from repro.serve import PlanService
+from repro.serve import PlanService, problem_fingerprint
 from repro.verify.oracles import run_oracles
 from repro.workloads import random_affine_problem
 
@@ -406,6 +406,30 @@ class TestServingMemory:
         finally:
             tracemalloc.stop()
         assert abs(traced[5] - traced[2]) <= 0.10 * traced[2], traced
+
+
+    def test_drifted_platform_entries_share_unchanged_cost_keys(self):
+        """Two cached plans whose platforms differ in one coefficient hold
+        one string object per unchanged cost key, and the strings go once
+        no entry holds them."""
+        base = _linear_problem(p=6)
+        procs = list(base.processors)
+        procs[2] = Processor.linear("P3", procs[2].alpha * 2, procs[2].beta)
+        drifted = ScatterProblem(procs, base.n)
+        with PlanService(order_policy=None) as svc:
+            svc.plan(base)
+            svc.plan(drifted)
+            keys = [
+                svc.cache.get(problem_fingerprint(prob, algorithm=svc.algorithm).key)
+                .cost_keys
+                for prob in (base, drifted)
+            ]
+            unchanged = set(keys[0]) & set(keys[1])
+            assert len(unchanged) == len(keys[0]) - 1
+            first = {k: k for k in keys[0]}
+            assert all(first[k] is k for k in keys[1] if k in unchanged)
+            svc.cache.clear()
+            assert not svc.cache._key_strings and not svc.cache._key_refs
 
 
 class TestImportWeight:
