@@ -417,14 +417,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     import json as _json
 
-    from .verify import (
-        check_golden,
-        fuzz,
-        fuzz_incremental,
-        fuzz_tree,
-        mutation_smoke_check,
-        update_golden,
-    )
+    from .verify import check_golden, fuzz, mutation_smoke_check, update_golden
     from .verify.oracles import ORACLES
 
     if args.list_oracles:
@@ -440,36 +433,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print("golden snapshots already current")
         return 0
 
-    differential = args.mode in ("incremental", "tree")
+    differential = args.mode != "oracles"
+    for flag, given in (("--oracle", args.oracle), ("--guided", args.guided)):
+        if differential and given:
+            print(f"error: {flag} cannot be combined with --mode {args.mode}", file=sys.stderr)
+            return 2
     # A focused run (--oracle, --shape, or a differential mode) skips the
     # mutation smoke-check and golden comparison.
     focused = bool(args.oracle) or bool(args.shape) or differential
     try:
-        if differential:
-            for flag, given in (("--oracle", args.oracle), ("--guided", args.guided)):
-                if given:
-                    print(
-                        f"error: {flag} cannot be combined with "
-                        f"--mode {args.mode}",
-                        file=sys.stderr,
-                    )
-                    return 2
-            if args.mode == "incremental":
-                outcome = fuzz_incremental(
-                    args.seeds, base_seed=args.base_seed, shapes=args.shape
-                )
-            else:
-                outcome = fuzz_tree(
-                    args.seeds, base_seed=args.base_seed, shapes=args.shape
-                )
-        else:
-            outcome = fuzz(
-                args.seeds,
-                base_seed=args.base_seed,
-                shapes=args.shape,
-                only_oracles=args.oracle or None,
-                guided=args.guided,
-            )
+        outcome = fuzz(
+            args.seeds,
+            mode=args.mode,
+            base_seed=args.base_seed,
+            shapes=args.shape,
+            only_oracles=args.oracle or None,
+            guided=args.guided,
+        )
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -519,11 +499,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for oracle_id, message in ce.violations:
             print(f"    [{oracle_id}] {message}")
     if mutation is not None:
-        if mutation.caught:
+        caught = mutation.counterexample
+        if caught is not None:
             print(
                 f"mutation: planted rounding bug caught "
-                f"(seed {mutation.seed}, shrunk to p={mutation.shrunk_p} "
-                f"n={mutation.shrunk_n})"
+                f"(seed {caught.seed}, shrunk to p={caught.shrunk_p} "
+                f"n={caught.shrunk_n})"
             )
         else:
             print(

@@ -14,9 +14,9 @@ instances.  This package turns them into the repo's correctness backbone:
   catches them).
 * :mod:`repro.verify.fuzz` — a differential fuzzer: seeded instance
   generators (affine/concave/stepwise/adversarial cost shapes plus
-  degenerate edges), every applicable solver run on every instance,
-  exact-solver agreement and heuristic-bound compliance asserted, and
-  failing instances *shrunk* to minimal counterexamples.
+  degenerate edges) feed one seed loop whose modes (every solver through
+  the registry, warm-vs-cold churn, flat-vs-tree) solve and check each
+  instance, and failing instances are *shrunk* to minimal counterexamples.
 * :mod:`repro.verify.references` — cross-check kernels that are not
   solver routes (``dp-basic-vectorized``, ``dp-monotone``); the fuzzer runs
   them next to the production solvers under those names.
@@ -29,18 +29,17 @@ The harness is itself tested by a mutation smoke-check
 planted in a copy of the rounding scheme and the oracles must flag it
 with a shrunk counterexample.
 
-CLI: ``repro-scatter verify [--seeds N] [--oracle ID] [--json]`` (exit
-0 = clean, 1 = findings, 2 = usage error, like ``lint``).
+CLI: ``repro-scatter verify [--seeds N] [--mode MODE] [--oracle ID]
+[--json]`` (exit 0 = clean, 1 = findings, 2 = usage error, like ``lint``).
 """
 
 from .fuzz import (
     Counterexample,
     FuzzOutcome,
+    MODES,
     MutationCheckResult,
     SHAPES,
     fuzz,
-    fuzz_incremental,
-    fuzz_tree,
     generate_instance,
     mutation_smoke_check,
     problem_from_dict,
@@ -67,12 +66,11 @@ __all__ = [
     "run_oracles",
     "solve_all",
     "SHAPES",
+    "MODES",
     "Counterexample",
     "FuzzOutcome",
     "MutationCheckResult",
     "fuzz",
-    "fuzz_incremental",
-    "fuzz_tree",
     "generate_instance",
     "mutation_smoke_check",
     "problem_to_dict",

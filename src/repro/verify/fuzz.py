@@ -6,41 +6,40 @@ linear/affine (the paper's calibrated models), adversarial linear shapes
 piecewise-linear bandwidth knees (and, on request, many-piece knees at
 ``n`` up to 2,000), rough tabulated costs (monotone and
 general), and degenerate edges (``p = 1``, ``n = 0``, ``n < p``,
-zero-latency) — runs **every applicable solver** on each instance
-(:func:`repro.verify.oracles.solve_all`), and applies the oracle registry
-to the results.  Any violation or solver crash is *shrunk* to a minimal
-counterexample: drop processors, then reduce ``n``, then simplify
-coefficient magnitudes, re-checking failure at every step.
+zero-latency) — and runs them through one seed loop, :func:`fuzz`, whose
+mode (:data:`MODES`) solves each instance and picks the oracles that
+judge it.  ``oracles`` runs **every applicable solver**
+(:func:`repro.verify.oracles.solve_all`) through the whole registry.
+``incremental`` drives an :class:`~repro.core.incremental.IncrementalPlanner`
+through seeded churn (kills / exact cost perturbations / workload
+resizes) and requires every warm re-plan to byte-match a cold solve.
+``tree`` solves flat and tree-aware
+(:func:`~repro.core.trees.plan_scatter_tree`) and requires the tree
+schedule to *dominate* the flat one (the candidate family contains the
+flat schedule, so a regression is a planner bug).  In any mode,
+``guided=True`` biases the shapes toward the least-checked oracle.
 
-Three further modes ride on the same machinery.  ``fuzz(guided=True)``
-swaps the static shape rotation for a coverage-guided selector that
-biases generation toward shapes observed to fire the least-checked
-oracle (ε-greedy, still deterministic per ``base_seed``).
-:func:`fuzz_incremental` drives an
-:class:`~repro.core.incremental.IncrementalPlanner` through seeded churn
-schedules (kills / exact cost perturbations / workload resizes) and
-requires every warm re-plan to byte-match an independent cold solve.
-:func:`fuzz_tree` solves every instance with both the flat planner and
-the tree-aware planner (:func:`~repro.core.trees.plan_scatter_tree`),
-requires the tree schedule to *dominate* the flat one (its exact
-makespan must never exceed the flat makespan — the candidate family
-contains the flat schedule, so a regression here is a planner bug), and
-runs the combined results through the oracle registry, including the
-``tree-lower-bound`` and tree-aware ``eq1-recompute`` checks.
+In every mode a solver crash is a finding, and a failing instance is
+*shrunk* to a minimal counterexample — drop processors, then reduce
+``n``, then simplify coefficient magnitudes — while it still fails one
+of the oracle ids that failed; the counterexample reports every
+violation of the mode's oracle set on the shrunk instance.
 
-The harness checks itself: :func:`mutation_smoke_check` plants a known
-off-by-one in a copy of the §3.3 rounding scheme (all leftover units
-dumped on the first processor, breaking the ``|n'_i − n_i| < 1``
-hypothesis of Eq. 4) and asserts the oracles flag it with a counterexample
-shrunk to ``p <= 3``, ``n <= 20``.
+The harness checks itself: :func:`mutation_smoke_check` runs a private
+mode that plants a known off-by-one in a copy of the §3.3 rounding scheme
+(all leftover units dumped on the first processor, breaking the
+``|n'_i − n_i| < 1`` hypothesis of Eq. 4) and asserts the oracles flag it
+with a counterexample shrunk to ``p <= 3``, ``n <= 20``.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.costs import (
     AffineCost,
@@ -61,25 +60,23 @@ from ..workloads.generators import (
     random_tabulated_problem,
 )
 from .oracles import (
-    ORACLES,
-    OracleReport,
+    incremental_schedule,
     oracle_ids,
-    plan_mismatch,
     run_oracles,
     solve_all,
+    solve_warm_and_cold,
 )
 
 __all__ = [
     "SHAPES",
     "SHAPE_SCHEDULE",
+    "MODES",
     "Counterexample",
     "FuzzStats",
     "FuzzOutcome",
     "MutationCheckResult",
     "generate_instance",
     "fuzz",
-    "fuzz_incremental",
-    "fuzz_tree",
     "shrink",
     "mutation_smoke_check",
     "problem_to_dict",
@@ -456,8 +453,12 @@ def _simplify_costs(
 
 
 # ---------------------------------------------------------------------------
-# The fuzz loop
+# Reports
 # ---------------------------------------------------------------------------
+
+#: ``(oracle_id, message)`` pairs; a solver that raised is ``solver-crash``.
+Findings = List[Tuple[str, str]]
+
 
 @dataclass(frozen=True)
 class Counterexample:
@@ -489,9 +490,10 @@ class FuzzStats:
 
     instances: int = 0
     solver_runs: int = 0
-    shapes: Dict[str, int] = field(default_factory=dict)
-    #: Per-oracle count of instances on which the oracle actually applied.
-    oracle_checked: Dict[str, int] = field(default_factory=dict)
+    shapes: Counter[str] = field(default_factory=Counter)
+    #: Per-oracle count of checks in which the oracle actually applied
+    #: (one per instance, or one per churn step in a churn mode).
+    oracle_checked: Counter[str] = field(default_factory=Counter)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -521,49 +523,6 @@ class FuzzOutcome:
         }
 
 
-def _violated(reports: Sequence[OracleReport]) -> List[Tuple[str, str]]:
-    out: List[Tuple[str, str]] = []
-    for report in reports:
-        for message in report.violations:
-            out.append((report.oracle_id, message))
-    return out
-
-
-def _shrink_predicate(
-    only: Optional[Sequence[str]], max_dp_n: int
-) -> Callable[[ScatterProblem], bool]:
-    """Freeze the oracle subset into a shrink predicate (no loop capture)."""
-
-    def fails(candidate: ScatterProblem) -> bool:
-        return bool(_instance_failures(candidate, only=only, max_dp_n=max_dp_n))
-
-    return fails
-
-
-def _instance_failures(
-    problem: ScatterProblem,
-    *,
-    only: Optional[Sequence[str]],
-    max_dp_n: int,
-    stats: Optional[FuzzStats] = None,
-) -> List[Tuple[str, str]]:
-    """Solve + check one instance; returns ``(oracle_id, message)`` pairs."""
-    results, crashes = solve_all(problem, max_dp_n=max_dp_n)
-    failures = [
-        ("solver-crash", f"{algo}: {message}") for algo, message in crashes.items()
-    ]
-    reports = run_oracles(problem, results, only=only)
-    failures.extend(_violated(reports))
-    if stats is not None:
-        stats.solver_runs += len(results) + len(crashes)
-        for report in reports:
-            if report.applicable:
-                stats.oracle_checked[report.oracle_id] = (
-                    stats.oracle_checked.get(report.oracle_id, 0) + 1
-                )
-    return failures
-
-
 #: Exploration rate of the coverage-guided shape selector (``guided=True``).
 GUIDED_EPSILON = 0.2
 
@@ -571,123 +530,40 @@ GUIDED_EPSILON = 0.2
 def _guided_shape(
     rng: random.Random,
     candidates: Sequence[str],
+    oracles: Sequence[str],
     stats: FuzzStats,
-    affinity: Dict[Tuple[str, str], int],
+    affinity: Counter[Tuple[str, str]],
 ) -> str:
-    """Pick the next shape, biased toward the least-checked oracle.
+    """Pick the next shape, biased toward the run's least-checked oracle.
 
     The coverage signal is ``stats.oracle_checked`` (how often each oracle
     actually *applied*); ``affinity`` is the online estimate of how likely
     each shape is to make a given oracle applicable.  ε-greedy: with
     probability :data:`GUIDED_EPSILON` (or while a shape is still
     unexplored) the selector draws uniformly, otherwise it exploits the
-    shape with the highest observed affinity for the coverage hole.
+    first shape with the highest observed affinity for the coverage hole.
     Deterministic given the seeded ``rng``.
     """
     for shape in candidates:
-        if stats.shapes.get(shape, 0) == 0:
+        if stats.shapes[shape] == 0:
             return shape  # explore every shape at least once
     if rng.random() < GUIDED_EPSILON:
         return candidates[rng.randrange(len(candidates))]
     # The least-checked oracle is the coverage hole to chase (ties break
     # by id, so the target — hence the run — is deterministic).
-    target = min(
-        oracle_ids(), key=lambda oid: (stats.oracle_checked.get(oid, 0), oid)
-    )
-    best, best_score = candidates[0], -1.0
-    for shape in candidates:
-        score = affinity.get((shape, target), 0) / stats.shapes[shape]
-        if score > best_score:
-            best, best_score = shape, score
-    return best
-
-
-def fuzz(
-    seeds: int = 50,
-    *,
-    base_seed: int = 0,
-    shapes: Optional[Sequence[str]] = None,
-    only_oracles: Optional[Sequence[str]] = None,
-    max_dp_n: int = FUZZ_MAX_DP_N,
-    shrink_failures: bool = True,
-    guided: bool = False,
-) -> FuzzOutcome:
-    """Run the differential fuzz loop over ``seeds`` seeded instances.
-
-    Each seed deterministically generates one instance (shape from
-    :data:`SHAPE_SCHEDULE`, or round-robin over ``shapes`` when given),
-    runs every applicable solver, and applies the oracle registry
-    (``only_oracles`` restricts it).  Failures are shrunk to minimal
-    counterexamples unless ``shrink_failures=False``.
-
-    ``guided=True`` replaces the static rotation with the coverage-guided
-    selector (:func:`_guided_shape`): instance generation is biased toward
-    shapes observed to fire the currently least-checked oracle, with
-    ε-greedy exploration.  Still fully deterministic given ``base_seed``.
-    """
-    if only_oracles is not None:
-        unknown = [oid for oid in only_oracles if oid not in oracle_ids()]
-        if unknown:
-            raise KeyError(f"unknown oracle ids {unknown}; know {list(oracle_ids())}")
-    schedule: Sequence[str] = tuple(shapes) if shapes else SHAPE_SCHEDULE
-    for shape in schedule:
-        if shape not in SHAPES:
-            raise ValueError(f"unknown instance shape {shape!r}; know {SHAPES}")
-    # Unique candidate pool for the guided selector, first-seen order.
-    candidates = tuple(dict.fromkeys(schedule))
-    guide_rng = _instance_rng(base_seed, 0x6D1DE5)
-    affinity: Dict[Tuple[str, str], int] = {}
-
-    stats = FuzzStats()
-    counterexamples: List[Counterexample] = []
-    for seed in range(seeds):
-        if guided:
-            shape = _guided_shape(guide_rng, candidates, stats, affinity)
-        else:
-            shape = schedule[seed % len(schedule)]
-        problem = generate_instance(shape, _instance_rng(base_seed, seed))
-        stats.instances += 1
-        stats.shapes[shape] = stats.shapes.get(shape, 0) + 1
-        checked_before = dict(stats.oracle_checked) if guided else {}
-        failures = _instance_failures(
-            problem, only=only_oracles, max_dp_n=max_dp_n, stats=stats
-        )
-        if guided:
-            for oid, count in stats.oracle_checked.items():
-                if count > checked_before.get(oid, 0):
-                    affinity[(shape, oid)] = affinity.get((shape, oid), 0) + 1
-        if not failures:
-            continue
-        shrunk = problem
-        if shrink_failures:
-            failing_ids = sorted({oracle_id for oracle_id, _ in failures})
-            oracle_only = [oid for oid in failing_ids if oid != "solver-crash"]
-            fails = _shrink_predicate(oracle_only or only_oracles, max_dp_n)
-            shrunk = shrink(problem, fails)
-            failures = _instance_failures(
-                shrunk, only=oracle_only or only_oracles, max_dp_n=max_dp_n
-            ) or failures
-        counterexamples.append(
-            Counterexample(
-                seed=seed,
-                shape=shape,
-                violations=tuple(failures),
-                problem=problem_to_dict(shrunk),
-                original_p=problem.p,
-                original_n=problem.n,
-                shrunk_p=shrunk.p,
-                shrunk_n=shrunk.n,
-            )
-        )
-    return FuzzOutcome(stats=stats, counterexamples=tuple(counterexamples))
+    target = min(oracles, key=lambda oid: (stats.oracle_checked[oid], oid))
+    return max(candidates, key=lambda shape: affinity[(shape, target)] / stats.shapes[shape])
 
 
 # ---------------------------------------------------------------------------
-# Incremental-vs-cold differential mode (kill / perturb / resize schedules)
+# Churn schedules (kill / perturb / resize) for the incremental mode
 # ---------------------------------------------------------------------------
 
-#: Churn events :func:`fuzz_incremental` draws between re-plans.
+#: Churn events a churn mode draws between re-plans.
 INCREMENTAL_OPS = ("kill", "perturb", "shrink-n", "grow-n")
+
+#: Churn events drawn per seed after the seed instance itself.
+CHURN_OPS = 5
 
 #: Exact link/CPU speed factors for the ``perturb`` event.
 _PERTURB_FACTORS = (Fraction(1, 2), Fraction(3, 4), Fraction(9, 8), Fraction(2))
@@ -733,144 +609,29 @@ def _mutate_problem(
     return op, ScatterProblem(problem.processors, grown)
 
 
-def fuzz_incremental(
-    seeds: int = 50,
-    *,
-    base_seed: int = 0,
-    shapes: Optional[Sequence[str]] = None,
-    ops: int = 5,
-    max_dp_n: int = FUZZ_MAX_DP_N,
-    shrink_failures: bool = True,
-) -> FuzzOutcome:
-    """Differential fuzz of the incremental planner against cold solves.
-
-    Each seed generates one instance, then drives a fresh
-    :class:`~repro.core.incremental.IncrementalPlanner` through ``ops``
-    seeded churn events (processor kills, exact cost perturbations,
-    workload resizes).  After *every* event the warm re-plan must
-    byte-match an independent cold :func:`plan_scatter` — counts, exact
-    and float makespans, and chosen route — and the pair is additionally
-    run through the full oracle registry (minus the self-contained
-    ``incremental-matches-cold`` oracle, which would just repeat the
-    comparison on its own schedule).
-
-    Failures are shrunk via the ``incremental-matches-cold`` oracle's
-    predicate, which replays a canonical churn schedule from scratch on
-    each shrink candidate — self-contained, so the minimal instance
-    reproduces without the original event history.
-    """
-    if ops < 1:
-        raise ValueError(f"ops must be >= 1, got {ops}")
-    schedule: Sequence[str] = tuple(shapes) if shapes else SHAPE_SCHEDULE
-    for shape in schedule:
-        if shape not in SHAPES:
-            raise ValueError(f"unknown instance shape {shape!r}; know {SHAPES}")
-    differential_oracles = [
-        oid for oid in oracle_ids() if oid != "incremental-matches-cold"
-    ]
-    schedule_oracle = ORACLES["incremental-matches-cold"]
-
-    def schedule_fails(candidate: ScatterProblem) -> bool:
-        return bool(schedule_oracle.check(candidate, {}))
-
-    stats = FuzzStats()
-    counterexamples: List[Counterexample] = []
-    for seed in range(seeds):
-        shape = schedule[seed % len(schedule)]
-        rng = _instance_rng(base_seed, seed)
-        problem = generate_instance(shape, rng)
-        orig_n = problem.n
-        stats.instances += 1
-        stats.shapes[shape] = stats.shapes.get(shape, 0) + 1
-        planner = IncrementalPlanner()
-        # Pre-draw the whole churn schedule; the seed instance is step 0,
-        # so the first churn event already re-plans against warm state.
-        current = problem
-        steps: List[Tuple[str, ScatterProblem]] = [("seed", problem)]
-        for _ in range(ops):
-            op, current = _mutate_problem(current, orig_n, rng)
-            steps.append((op, current))
-        failures: List[Tuple[str, str]] = []
-        failing_step = problem
-        for op, step_problem in steps:
-            try:
-                cold = plan_scatter(step_problem, order_policy=None)
-            except ValueError:
-                # No auto route for this family/size: the planner delegates
-                # to the same router, so there is nothing to compare.
-                continue
-            warm = planner.plan(step_problem)
-            stats.solver_runs += 2
-            step_failures = [
-                ("incremental-differential", f"[{op}] {message}")
-                for message in plan_mismatch(cold, warm)
-            ]
-            reports = run_oracles(
-                step_problem,
-                {"cold": cold, "incremental": warm},
-                only=differential_oracles,
-            )
-            step_failures.extend(
-                (oid, f"[{op}] {message}") for oid, message in _violated(reports)
-            )
-            for report in reports:
-                if report.applicable:
-                    stats.oracle_checked[report.oracle_id] = (
-                        stats.oracle_checked.get(report.oracle_id, 0) + 1
-                    )
-            if step_failures:
-                failures = step_failures
-                failing_step = step_problem
-                break
-        if not failures:
-            continue
-        shrunk = failing_step
-        if shrink_failures:
-            shrunk = shrink(failing_step, schedule_fails)
-        counterexamples.append(
-            Counterexample(
-                seed=seed,
-                shape=shape,
-                violations=tuple(failures),
-                problem=problem_to_dict(shrunk),
-                original_p=failing_step.p,
-                original_n=failing_step.n,
-                shrunk_p=shrunk.p,
-                shrunk_n=shrunk.n,
-            )
-        )
-    return FuzzOutcome(stats=stats, counterexamples=tuple(counterexamples))
-
-
 # ---------------------------------------------------------------------------
-# Tree-vs-flat differential mode (dominance + tree oracles)
+# Modes: how one instance is solved, and which oracles judge it
 # ---------------------------------------------------------------------------
 
-def _tree_instance_failures(
-    problem: ScatterProblem,
-    *,
-    only: Optional[Sequence[str]],
-    stats: Optional[FuzzStats] = None,
-) -> List[Tuple[str, str]]:
-    """Solve one instance flat *and* tree; returns ``(oracle_id, message)``.
+#: One solve: the results plus the mode's own findings (crashes and its
+#: extra predicate), or None when the step has nothing to compare.
+Solved = Optional[Tuple[Dict[str, DistributionResult], Findings]]
 
-    Self-contained (no captured state) so it doubles as the shrink
-    predicate: a candidate keeps failing exactly when this function keeps
-    returning failures for it.
-    """
-    failures: List[Tuple[str, str]] = []
+
+def _solve_every_solver(problem: ScatterProblem) -> Solved:
+    results, crashes = solve_all(problem, max_dp_n=FUZZ_MAX_DP_N)
+    return results, [("solver-crash", f"{algo}: {msg}") for algo, msg in crashes.items()]
+
+
+def _solve_flat_and_tree(problem: ScatterProblem) -> Solved:
     results: Dict[str, DistributionResult] = {}
-    try:
-        results["flat"] = plan_scatter(problem, order_policy=None)
-    except Exception as exc:  # noqa: BLE001 — any crash is the finding
-        failures.append(("solver-crash", f"flat: {type(exc).__name__}: {exc}"))
-    try:
-        results["tree"] = plan_scatter(
-            problem, topology="tree", order_policy=None
-        )
-    except Exception as exc:  # noqa: BLE001 — any crash is the finding
-        failures.append(("solver-crash", f"tree: {type(exc).__name__}: {exc}"))
-    if "flat" in results and "tree" in results:
+    findings: Findings = []
+    for topology in ("flat", "tree"):
+        try:
+            results[topology] = plan_scatter(problem, topology=topology, order_policy=None)
+        except Exception as exc:  # noqa: BLE001 — any crash is the finding
+            findings.append(("solver-crash", f"{topology}: {type(exc).__name__}: {exc}"))
+    if len(results) == 2:
         # Dominance by construction: the tree planner's candidate family
         # contains the flat schedule, so its exact makespan can never
         # exceed the flat one.  (order_policy=None keeps the processor
@@ -878,7 +639,7 @@ def _tree_instance_failures(
         flat_exact = problem.makespan_exact(results["flat"].counts)
         tree_exact = results["tree"].makespan_exact
         if tree_exact is not None and tree_exact > flat_exact:
-            failures.append(
+            findings.append(
                 (
                     "tree-dominance",
                     f"tree makespan {float(tree_exact)!r} exceeds flat "
@@ -887,81 +648,180 @@ def _tree_instance_failures(
                     f"{results['flat'].algorithm})",
                 )
             )
-    reports = run_oracles(problem, results, only=only)
-    failures.extend(_violated(reports))
-    if stats is not None:
-        stats.solver_runs += len(results)
-        for report in reports:
-            if report.applicable:
-                stats.oracle_checked[report.oracle_id] = (
-                    stats.oracle_checked.get(report.oracle_id, 0) + 1
-                )
-    return failures
+    return results, findings
 
 
-def fuzz_tree(
+@dataclass(frozen=True)
+class _Mode:
+    """One fuzz mode: a solve per step and the oracle set that judges it."""
+
+    #: ``problem -> Solved``; a churn mode's solve takes the seed's warm
+    #: planner first.
+    solve: Callable[..., Solved]
+    #: The mode's oracle ids, read from the registry when a run starts.
+    oracles: Callable[[], Tuple[str, ...]]
+    #: Replay :data:`CHURN_OPS` seeded churn steps per seed through one
+    #: :class:`IncrementalPlanner`, and :func:`incremental_schedule` on
+    #: each shrink candidate.
+    churn: bool = False
+
+
+def _differential_oracles() -> Tuple[str, ...]:
+    """The registry minus the self-contained warm-vs-cold oracle, which the
+    differential modes would only repeat on its own schedule."""
+    return tuple(oid for oid in oracle_ids() if oid != "incremental-matches-cold")
+
+
+#: The public fuzz modes (``repro-scatter verify --mode``).
+MODES: Dict[str, _Mode] = {
+    "oracles": _Mode(_solve_every_solver, oracle_ids),
+    "incremental": _Mode(solve_warm_and_cold, _differential_oracles, churn=True),
+    "tree": _Mode(_solve_flat_and_tree, _differential_oracles),
+}
+
+
+# ---------------------------------------------------------------------------
+# The fuzz loop
+# ---------------------------------------------------------------------------
+
+def _judge(
+    mode: _Mode,
+    steps: Sequence[Tuple[str, ScatterProblem]],
+    oracles: Sequence[str],
+    stats: FuzzStats,
+) -> Tuple[Findings, ScatterProblem]:
+    """Solve and check ``steps`` in order, through one fresh warm planner
+    in a churn mode.
+
+    Returns the findings of the first failing step (tagged ``[step]`` in a
+    churn mode) and its problem, or no findings and the last step.
+    """
+    solve = partial(mode.solve, IncrementalPlanner()) if mode.churn else mode.solve
+    for label, step in steps:
+        solved = solve(step)
+        if solved is None:
+            continue
+        results, findings = solved
+        reports = run_oracles(step, results, only=oracles)
+        crashes = sum(oid == "solver-crash" for oid, _ in findings)
+        stats.solver_runs += len(results) + crashes
+        stats.oracle_checked.update(r.oracle_id for r in reports if r.applicable)
+        findings = findings + [(r.oracle_id, msg) for r in reports for msg in r.violations]
+        if findings:
+            if mode.churn:
+                findings = [(oid, f"[{label}] {message}") for oid, message in findings]
+            return findings, step
+    return [], steps[-1][1]
+
+
+def _replay(
+    mode: _Mode, problem: ScatterProblem, oracles: Sequence[str]
+) -> Findings:
+    """The findings ``mode`` reports for ``problem`` alone (a churn mode
+    replays :func:`incremental_schedule`, which needs no event history)."""
+    steps = incremental_schedule(problem) if mode.churn else [("seed", problem)]
+    return _judge(mode, steps, oracles, FuzzStats())[0]
+
+
+def _still_fails(
+    mode: _Mode,
+    oracles: Sequence[str],
+    failed: FrozenSet[str],
+    candidate: ScatterProblem,
+) -> bool:
+    """Shrink predicate: does ``candidate`` still fail an id in ``failed``?"""
+    found = _replay(mode, candidate, [oid for oid in oracles if oid in failed])
+    return any(oid in failed for oid, _ in found)
+
+
+def _fuzz_loop(
+    mode: _Mode,
+    seeds: int,
+    base_seed: int,
+    schedule: Sequence[str],
+    oracles: Sequence[str],
+    stats: FuzzStats,
+    guided: bool = False,
+) -> Iterator[Counterexample]:
+    """The one seed loop: generate, solve, check, shrink, report.
+
+    Yields each counterexample as its seed fails, filling ``stats`` as it
+    goes, so a caller may stop at the first one.
+    """
+    # Unique candidate pool for the guided selector, first-seen order.
+    candidates = tuple(dict.fromkeys(schedule))
+    guide_rng = _instance_rng(base_seed, 0x6D1DE5)
+    affinity: Counter[Tuple[str, str]] = Counter()
+    for seed in range(seeds):
+        if guided:
+            shape = _guided_shape(guide_rng, candidates, oracles, stats, affinity)
+        else:
+            shape = schedule[seed % len(schedule)]
+        rng = _instance_rng(base_seed, seed)
+        problem = generate_instance(shape, rng)
+        stats.instances += 1
+        stats.shapes[shape] += 1
+        # The seed instance is step 0, so a churn mode's first event
+        # already re-plans against warm state.
+        steps = [("seed", problem)]
+        while mode.churn and len(steps) <= CHURN_OPS:
+            steps.append(_mutate_problem(steps[-1][1], problem.n, rng))
+        checked_before = stats.oracle_checked.copy()
+        findings, failing = _judge(mode, steps, oracles, stats)
+        if guided:
+            affinity.update((shape, oid) for oid in stats.oracle_checked - checked_before)
+        if not findings:
+            continue
+        failed = frozenset(oid for oid, _ in findings)
+        shrunk = shrink(failing, partial(_still_fails, mode, oracles, failed))
+        # A churn failure that needs its own event history does not replay
+        # on the unshrunk step; it keeps the findings of the churn run.
+        yield Counterexample(
+            seed=seed,
+            shape=shape,
+            violations=tuple(_replay(mode, shrunk, oracles) or findings),
+            problem=problem_to_dict(shrunk),
+            original_p=failing.p,
+            original_n=failing.n,
+            shrunk_p=shrunk.p,
+            shrunk_n=shrunk.n,
+        )
+
+
+def fuzz(
     seeds: int = 50,
     *,
+    mode: str = "oracles",
     base_seed: int = 0,
     shapes: Optional[Sequence[str]] = None,
-    shrink_failures: bool = True,
+    only_oracles: Optional[Sequence[str]] = None,
+    guided: bool = False,
 ) -> FuzzOutcome:
-    """Differential fuzz of the tree planner against the flat planner.
+    """Fuzz ``seeds`` seeded instances in ``mode`` (a key of :data:`MODES`).
 
-    Each seed generates one instance (same seeded streams as
-    :func:`fuzz`, so a seed reproduces the same instance in every mode),
-    solves it with the flat facade *and* with ``topology="tree"``, checks
-    flat-vs-tree dominance, and applies the oracle registry to both
-    results — in particular ``tree-lower-bound`` (no schedule may beat
-    the Träff bound) and the tree-aware ``eq1-recompute`` (the tree
-    result's claimed makespan must match an independent re-evaluation of
-    its store-and-forward recurrence).  The self-contained
-    ``incremental-matches-cold`` oracle is excluded, as in
-    :func:`fuzz_incremental`.  Failures shrink to minimal
-    counterexamples via the same flat+tree predicate.
+    Each seed deterministically generates one instance (shape from
+    :data:`SHAPE_SCHEDULE`, or round-robin over ``shapes`` when given), the
+    same in every mode.  The mode's oracle set is read from the registry
+    when ``fuzz`` is called, so an oracle registered before the call runs;
+    ``only_oracles`` replaces it.  ``guided=True`` swaps the rotation for
+    the coverage-guided selector (:func:`_guided_shape`; still
+    deterministic given ``base_seed``).
     """
+    if mode not in MODES:
+        raise ValueError(f"unknown fuzz mode {mode!r}; know {tuple(MODES)}")
+    oracles = MODES[mode].oracles() if only_oracles is None else tuple(only_oracles)
+    unknown = [oid for oid in oracles if oid not in oracle_ids()]
+    if unknown:
+        raise KeyError(f"unknown oracle ids {unknown}; know {list(oracle_ids())}")
     schedule: Sequence[str] = tuple(shapes) if shapes else SHAPE_SCHEDULE
     for shape in schedule:
         if shape not in SHAPES:
             raise ValueError(f"unknown instance shape {shape!r}; know {SHAPES}")
-    tree_oracles = [
-        oid for oid in oracle_ids() if oid != "incremental-matches-cold"
-    ]
-
-    def tree_fails(candidate: ScatterProblem) -> bool:
-        return bool(_tree_instance_failures(candidate, only=tree_oracles))
-
     stats = FuzzStats()
-    counterexamples: List[Counterexample] = []
-    for seed in range(seeds):
-        shape = schedule[seed % len(schedule)]
-        problem = generate_instance(shape, _instance_rng(base_seed, seed))
-        stats.instances += 1
-        stats.shapes[shape] = stats.shapes.get(shape, 0) + 1
-        failures = _tree_instance_failures(
-            problem, only=tree_oracles, stats=stats
-        )
-        if not failures:
-            continue
-        shrunk = problem
-        if shrink_failures:
-            shrunk = shrink(problem, tree_fails)
-            failures = (
-                _tree_instance_failures(shrunk, only=tree_oracles) or failures
-            )
-        counterexamples.append(
-            Counterexample(
-                seed=seed,
-                shape=shape,
-                violations=tuple(failures),
-                problem=problem_to_dict(shrunk),
-                original_p=problem.p,
-                original_n=problem.n,
-                shrunk_p=shrunk.p,
-                shrunk_n=shrunk.n,
-            )
-        )
-    return FuzzOutcome(stats=stats, counterexamples=tuple(counterexamples))
+    counterexamples = tuple(
+        _fuzz_loop(MODES[mode], seeds, base_seed, schedule, oracles, stats, guided)
+    )
+    return FuzzOutcome(stats=stats, counterexamples=counterexamples)
 
 
 # ---------------------------------------------------------------------------
@@ -983,7 +843,7 @@ def _mutant_round_floor_dump(shares: Sequence[Fraction], n: int) -> Tuple[int, .
     return tuple(out)
 
 
-def _mutated_lp_result(problem: ScatterProblem) -> DistributionResult:
+def _solve_mutant(problem: ScatterProblem) -> Solved:
     """The LP heuristic pipeline with the planted rounding mutant.
 
     Bypasses :func:`repro.core.heuristic.solve_heuristic` on purpose: the
@@ -993,7 +853,7 @@ def _mutated_lp_result(problem: ScatterProblem) -> DistributionResult:
     shares, t_rational = solve_lp_rational(problem)
     counts = _mutant_round_floor_dump(shares, problem.n)
     exact = problem.makespan_exact(counts)
-    return DistributionResult(
+    result = DistributionResult(
         problem=problem,
         counts=counts,
         makespan=float(exact),
@@ -1001,76 +861,49 @@ def _mutated_lp_result(problem: ScatterProblem) -> DistributionResult:
         makespan_exact=exact,
         info={"rational_T": t_rational, "rational_shares": tuple(shares)},
     )
+    return {"lp-heuristic": result}, []
 
 
-#: Oracles expected to flag the mutant.
-_MUTATION_ORACLES = ("dist-valid", "rounding-within-one", "eq4-lp-bound")
+#: The private mutation mode: the mutated LP pipeline and the oracles
+#: expected to flag it.
+_MUTATION_MODE = _Mode(
+    _solve_mutant, lambda: ("dist-valid", "rounding-within-one", "eq4-lp-bound")
+)
 
 
 @dataclass(frozen=True)
 class MutationCheckResult:
     """Did the harness catch the planted rounding off-by-one?"""
 
-    caught: bool
-    seed: Optional[int]
-    violations: Tuple[Tuple[str, str], ...]
-    problem: Optional[Dict[str, Any]]  #: shrunk counterexample
-    shrunk_p: Optional[int]
-    shrunk_n: Optional[int]
+    counterexample: Optional[Counterexample]  #: None: the bug escaped
     instances_tried: int
 
+    @property
+    def caught(self) -> bool:
+        return self.counterexample is not None
+
     def to_dict(self) -> Dict[str, Any]:
+        ce = {} if self.counterexample is None else self.counterexample.to_dict()
         return {
             "caught": self.caught,
-            "seed": self.seed,
-            "violations": [list(v) for v in self.violations],
-            "problem": self.problem,
-            "shrunk": {"p": self.shrunk_p, "n": self.shrunk_n},
+            "seed": ce.get("seed"),
+            "violations": ce.get("violations", []),
+            "problem": ce.get("problem"),
+            "shrunk": ce.get("shrunk", {"p": None, "n": None}),
             "instances_tried": self.instances_tried,
         }
 
 
-def _mutant_failures(problem: ScatterProblem) -> List[Tuple[str, str]]:
-    results = {"lp-heuristic": _mutated_lp_result(problem)}
-    return _violated(run_oracles(problem, results, only=list(_MUTATION_ORACLES)))
-
-
-def mutation_smoke_check(
-    *, seeds: int = 40, base_seed: int = 0xBADC0DE
-) -> MutationCheckResult:
+def mutation_smoke_check() -> MutationCheckResult:
     """Prove the harness catches a planted rounding off-by-one.
 
-    Fuzzes linear/affine instances through the mutated LP pipeline until
-    an oracle flags one, then shrinks the counterexample.  ``caught`` is
-    False only if *no* instance is flagged — which would mean the oracle
-    net has a hole.
+    Runs the fuzz loop in the private mutation mode over 40 linear and
+    affine instances (base seed ``0xBADC0DE``) until an oracle flags one,
+    and reports that shrunk counterexample.  ``caught`` is False only if
+    *no* instance is flagged — which would mean the oracle net has a hole.
     """
-    tried = 0
-    for seed in range(seeds):
-        rng = _instance_rng(base_seed, seed)
-        shape = "affine" if seed % 2 else "linear"
-        problem = generate_instance(shape, rng)
-        tried += 1
-        failures = _mutant_failures(problem)
-        if not failures:
-            continue
-        shrunk = shrink(problem, lambda cand: bool(_mutant_failures(cand)))
-        final = _mutant_failures(shrunk) or failures
-        return MutationCheckResult(
-            caught=True,
-            seed=seed,
-            violations=tuple(final),
-            problem=problem_to_dict(shrunk),
-            shrunk_p=shrunk.p,
-            shrunk_n=shrunk.n,
-            instances_tried=tried,
-        )
-    return MutationCheckResult(
-        caught=False,
-        seed=None,
-        violations=(),
-        problem=None,
-        shrunk_p=None,
-        shrunk_n=None,
-        instances_tried=tried,
-    )
+    stats = FuzzStats()
+    oracles = _MUTATION_MODE.oracles()
+    loop = _fuzz_loop(_MUTATION_MODE, 40, 0xBADC0DE, ("linear", "affine"), oracles, stats)
+    ce = next(loop, None)
+    return MutationCheckResult(ce, stats.instances)

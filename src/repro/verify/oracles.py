@@ -91,6 +91,7 @@ __all__ = [
     "run_oracles",
     "incremental_schedule",
     "plan_mismatch",
+    "solve_warm_and_cold",
 ]
 
 #: Relative tolerance when comparing float-path solver output against the
@@ -622,6 +623,33 @@ def plan_mismatch(cold: DistributionResult, warm: DistributionResult) -> List[st
     return out
 
 
+def solve_warm_and_cold(
+    planner: IncrementalPlanner, problem: ScatterProblem
+) -> Optional[Tuple[Dict[str, DistributionResult], List[Tuple[str, str]]]]:
+    """One warm-vs-cold step: a cold solve, then ``planner``'s re-plan.
+
+    Returns the results (``cold``, ``incremental``) and the findings: a
+    ``solver-crash`` naming the side that raised, or every
+    ``incremental-differential`` of :func:`plan_mismatch`.  None when the
+    cold solve raises ``ValueError`` (no auto route for this family and
+    size): the planner delegates to the same router, so there is nothing
+    to compare.
+    """
+    try:
+        cold = plan_scatter(problem, order_policy=None)
+    except ValueError:
+        return None
+    except Exception as exc:  # noqa: BLE001 — any crash is the finding
+        return {}, [("solver-crash", f"cold: {type(exc).__name__}: {exc}")]
+    try:
+        warm = planner.plan(problem)
+    except Exception as exc:  # noqa: BLE001 — any crash is the finding
+        return {"cold": cold}, [("solver-crash", f"incremental: {type(exc).__name__}: {exc}")]
+    return {"cold": cold, "incremental": warm}, [
+        ("incremental-differential", message) for message in plan_mismatch(cold, warm)
+    ]
+
+
 @register_oracle(
     "incremental-matches-cold",
     "IncrementalPlanner plans byte-match cold plan_scatter across a "
@@ -634,14 +662,9 @@ def _check_incremental_matches_cold(
     violations: List[str] = []
     planner = IncrementalPlanner()
     for label, step in incremental_schedule(problem):
-        try:
-            cold = plan_scatter(step, order_policy=None)
-        except ValueError:
-            continue  # no auto route for this step; nothing to compare
-        warm = planner.plan(step)
-        violations.extend(
-            f"{label}: {message}" for message in plan_mismatch(cold, warm)
-        )
+        solved = solve_warm_and_cold(planner, step)
+        if solved is not None:
+            violations.extend(f"{label}: {message}" for _, message in solved[1])
     return violations
 
 

@@ -6,6 +6,7 @@ import pytest
 
 import repro.verify
 from repro.cli import main
+from repro.core import IncrementalPlanner
 from repro.verify.fuzz import Counterexample, FuzzOutcome, FuzzStats
 
 
@@ -142,6 +143,20 @@ class TestVerifyCliFailurePath:
         doc = json.loads(artifact.read_text())
         assert doc["ok"] is False
         assert doc["fuzz"]["counterexamples"][0]["seed"] == 3
+
+    def test_incremental_planner_crash_is_a_finding(self, monkeypatch, capsys):
+        # A warm planner that raises is a counterexample (exit 1), not a
+        # usage error (exit 2).
+        def crash(self, problem):
+            raise ValueError("planted")
+
+        monkeypatch.setattr(IncrementalPlanner, "plan", crash)
+        code = main(["verify", "--mode", "incremental", "--seeds", "2", "--json"])
+        assert code == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["fuzz"]["counterexamples"]
+        for ce in doc["fuzz"]["counterexamples"]:
+            assert "solver-crash" in {oid for oid, _ in ce["violations"]}
 
     def test_no_artifact_on_success(self, capsys, tmp_path):
         artifact = tmp_path / "ce.json"

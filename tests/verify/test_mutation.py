@@ -3,7 +3,9 @@
 from fractions import Fraction
 
 from repro.verify.fuzz import (
+    _MUTATION_MODE,
     _mutant_round_floor_dump,
+    _replay,
     mutation_smoke_check,
     problem_from_dict,
 )
@@ -29,20 +31,21 @@ class TestMutationSmokeCheck:
     def test_planted_bug_is_caught_and_shrunk(self):
         result = mutation_smoke_check()
         assert result.caught, "oracles failed to flag the planted rounding bug"
+        ce = result.counterexample
         # Acceptance criterion: shrunk counterexample with p <= 3, n <= 20.
-        assert result.shrunk_p is not None and result.shrunk_p <= 3
-        assert result.shrunk_n is not None and result.shrunk_n <= 20
-        assert result.violations
-        flagged = {oracle_id for oracle_id, _ in result.violations}
+        assert ce.shrunk_p <= 3
+        assert ce.shrunk_n <= 20
+        assert ce.violations
+        flagged = {oracle_id for oracle_id, _ in ce.violations}
         assert flagged & {"rounding-within-one", "eq4-lp-bound", "dist-valid"}
 
     def test_counterexample_reproduces(self):
-        result = mutation_smoke_check()
-        assert result.problem is not None
-        problem = problem_from_dict(result.problem)
-        from repro.verify.fuzz import _mutant_failures
-
-        assert _mutant_failures(problem)
+        ce = mutation_smoke_check().counterexample
+        assert ce is not None
+        problem = problem_from_dict(ce.problem)
+        replay = _replay(_MUTATION_MODE, problem, _MUTATION_MODE.oracles())
+        assert replay
+        assert tuple(replay) == ce.violations
 
     def test_deterministic(self):
         a = mutation_smoke_check()

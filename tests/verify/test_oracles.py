@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.core import Processor, ScatterProblem, plan_scatter
+from repro.core import IncrementalPlanner, Processor, ScatterProblem, plan_scatter
 from repro.verify.oracles import (
     EXACT_DP_ALGORITHMS,
     ORACLES,
@@ -212,6 +212,19 @@ class TestIncrementalOracle:
         problem = random_tabulated_problem(random.Random(17), 5, 30)
         report = report_map(problem, {})["incremental-matches-cold"]
         assert report.ok, report.violations
+
+    def test_warm_crash_names_its_step(self, linear_problem, monkeypatch):
+        # The oracle and the fuzzer's incremental mode share one step, so a
+        # crashing planner is a solver crash here too, not an oracle crash.
+        def crash(self, problem):
+            raise RuntimeError("planted")
+
+        monkeypatch.setattr(IncrementalPlanner, "plan", crash)
+        report = report_map(linear_problem, {})["incremental-matches-cold"]
+        labels = [label for label, _ in incremental_schedule(linear_problem)]
+        assert report.violations == tuple(
+            f"{label}: incremental: RuntimeError: planted" for label in labels
+        )
 
 
 class TestDegenerateInstances:
