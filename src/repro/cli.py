@@ -417,7 +417,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     import json as _json
 
-    from .verify import check_golden, fuzz, mutation_smoke_check, update_golden
+    from .verify import MODES, check_golden, fuzz, mutation_smoke_check, update_golden
     from .verify.oracles import ORACLES
 
     if args.list_oracles:
@@ -489,8 +489,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         f"{stats.solver_runs} solver runs, "
         f"{len(outcome.counterexamples)} counterexample(s)"
     )
+    # A churn mode checks each oracle once per churn step, not per instance.
+    unit = "churn step(s)" if MODES[args.mode].churn else "instance(s)"
     for oid, count in sorted(stats.oracle_checked.items()):
-        print(f"  {oid}: checked on {count} instance(s)")
+        print(f"  {oid}: checked on {count} {unit}")
     for ce in outcome.counterexamples:
         print(
             f"  FAIL seed={ce.seed} shape={ce.shape} "

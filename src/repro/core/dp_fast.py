@@ -79,6 +79,44 @@ exact pivot-restricted vectorized scan, one interpreted step per ``d``.
 ``info["rows_affine"]`` counts the rows on the window path (affine and
 piecewise-linear links), ``info["rows_general_scan"]`` the scanned ones.
 
+The band
+--------
+Algorithm 2 fills every cell of its table, but most cells cannot lie on
+an optimal plan.  If some plan finishes by ``T``, processor ``i`` holds at
+most ``cap_i = max{e : fl(Tcomm(i, e) + Tcomp(i, e)) <= T}`` items, so the
+suffix starting at ``P_i`` holds between ``lo_i = max(0, n - Σ_{j<i}
+cap_j)`` and ``hi_i = min(n, Σ_{j>=i} cap_j)`` items.  Before its first
+row the kernel builds one feasible plan in O(p) (:func:`_feasible_plan`:
+Theorem 1's equal-finish shares extended with intercepts), takes ``T`` as
+that plan's value under the DP's own float recurrence plus a 10⁻⁹
+relative margin and a rounding allowance (:func:`_band`), and computes
+row ``i`` only over the cells ``[lo_{i+1} - 1, hi_i]``, shifted to start
+at 0 so the staircase and window code run unchanged on prefix views of
+the scratch slots (:meth:`_RowScratch.prefix`).  Two cells stand in for
+what the shifted row cannot see: a zero floor at ``lo_{i+1} - 1`` (it
+keeps the staircase non-degenerate, and a candidate that reads it has
+``e > cap_i``), and a finite sentinel above ``T`` and above the previous
+row's last band value in the cells above ``hi_{i+1}``.  The window line
+is built at absolute cells, so each in-band candidate is the same float
+expression as in the whole row.  Reconstruction scans only
+``e in [max(0, d - hi_{i+1}), min(d - lo_{i+1}, cap_i)]``.
+
+The invariant: every band cell whose whole-row value is at most ``T``
+comes out bit-identical, and every other band cell stays above ``T``.  A
+DP step's value is at least ``fl(Tcomm + Tcomp)`` of its share and at
+least the next row's value, so a cell at most ``T`` only reads cells of
+the next band that are at most ``T``; anything read from outside the
+band, or from a band cell above ``T``, loses to the cell's minimum.  The
+window path's shift identity breaks "at least" by a few ulps of the
+values involved; the allowance, ``64·(p + 1)·eps·(T + max Tcomm(n))``,
+covers those ulps over all ``p`` rows (it exceeds the 10⁻⁹ margin only
+when some link needs over ~10³·T to move all n items).  So counts,
+makespans and tie-breaks are the whole-row ones.  Solves that
+keep or reuse rows (``collect``/``warm_rows``, i.e.
+:class:`~repro.core.incremental.IncrementalPlanner`) and platforms with a
+cost that is not affine, linear or zero, or not null at 0, run the same
+loop with the band ``[0, n]``, which is the whole row.
+
 The kernel registers in :data:`repro.core.solver.ALGORITHMS` as
 ``"dp-fast"``; ``plan_scatter(algorithm="auto")`` routes every general
 increasing-cost instance to it at any ``n``.
@@ -88,12 +126,19 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..obs.profiler import stage_profile
-from .costs import CostFunction, PiecewiseLinearCost, _cost_row
+from .costs import (
+    AffineCost,
+    CostFunction,
+    LinearCost,
+    PiecewiseLinearCost,
+    ZeroCost,
+    _cost_row,
+)
 from .distribution import DistributionResult, Processor, ScatterProblem
 
 __all__ = ["solve_dp_fast"]
@@ -112,6 +157,13 @@ _NARROW = 256
 #: per unit of ``value/rate`` overestimates that bound ≥ 1.7×).
 _INVERSE_MARGIN = 8e-16
 
+#: Relative margin on the feasible plan's value before it caps the shares
+#: (:func:`_band`); the rounding allowance is added on top.
+_BAND_MARGIN = 1e-9
+
+#: Float64 machine epsilon, the unit of :func:`_band`'s rounding allowance.
+_EPS = 2.0**-52
+
 
 class _RowScratch:
     """Preallocated whole-row buffers shared by every row of one solve.
@@ -124,8 +176,7 @@ class _RowScratch:
     arithmetic they back.
     """
 
-    __slots__ = (
-        "n",
+    _ROWS = (
         "m_arr",
         "d_float",
         "qf",
@@ -134,7 +185,6 @@ class _RowScratch:
         "win",
         "both",
         "ji",
-        "scat",
         "piv",
         "ix",
         "bl",
@@ -142,6 +192,7 @@ class _RowScratch:
         "comp",
         "line",
     )
+    __slots__ = ("n", "base", "pos", "scat") + _ROWS
 
     def __init__(self, n: int):
         self.n = n
@@ -162,7 +213,24 @@ class _RowScratch:
         self.bl = np.empty(n + 1, dtype=bool)
         self.comm = np.empty(n + 1)  # the current processor's Tcomm row
         self.comp = np.empty(n + 1)  # the current processor's Tcomp row
-        self.line = np.empty(n + 1)  # one piecewise-linear piece's line
+        self.line = np.empty(n + 1)  # one affine piece's line
+        # A row's cell d sits at absolute cell base + d (see prefix()).
+        self.base = 0
+        self.pos = self.d_float  # absolute cells as floats
+
+    def prefix(self, m: int, base: int) -> "_RowScratch":
+        """A scratch over cells ``[0, m]`` for a row whose cell ``d`` is the
+        absolute cell ``base + d``: every slot is a prefix view of this
+        one's, so the row code runs unchanged on a band of the table."""
+        if m == self.n and base == 0:
+            return self
+        view = object.__new__(_RowScratch)
+        for name in self._ROWS:
+            setattr(view, name, getattr(self, name)[: m + 1])
+        view.scat = self.scat[: m + 3]
+        view.n, view.base = m, base
+        view.pos = self.d_float[base : base + m + 1]
+        return view
 
     def cost_rows(self, proc: Processor, m: int) -> Tuple[np.ndarray, np.ndarray]:
         """``proc``'s ``(Tcomm, Tcomp)`` over ``[0, m]``, valid until the
@@ -489,17 +557,24 @@ def _comm_pieces(
 
     Yields ``(e_lo, e_hi, line, c)``: on ``e in [e_lo, e_hi]`` the cost is
     ``line[d] - line[d - e] + c``, where ``line`` holds
-    ``fl(fl(m·slope) + c)`` over ``[0, n]`` and its value at ``m = 0`` is
-    taken to be ``c``.  An affine link is one piece whose line is its own
-    cost row (equal to that formula wherever the row is read).  A
-    :class:`PiecewiseLinearCost` yields one piece per segment, its
-    integer range ``[max(1, ⌈x_k⌉), ⌈x_{k+1}⌉ − 1]`` taken from the
-    exact breakpoints (the last runs to ``n``) and its line built in the
-    ``line`` slot, so consume each piece before drawing the next.
+    ``fl(fl(m·slope) + c)`` at the row's absolute cells ``m`` (``s.pos``)
+    and its value at ``m = 0`` is taken to be ``c``.  An affine link is
+    one piece whose line is its own cost row (equal to that formula
+    wherever the row is read) when the row starts at cell 0, and is built
+    at the absolute cells in a band.  A :class:`PiecewiseLinearCost`
+    yields one piece per segment, its integer range ``[max(1, ⌈x_k⌉),
+    ⌈x_{k+1}⌉ − 1]`` taken from the exact breakpoints (the last runs to
+    ``n``) and its line built in the ``line`` slot, so consume each piece
+    before drawing the next.
     """
     n = s.n
     if fn.is_affine:
-        yield 1, n, comm_i, float(fn.intercept)
+        c = float(fn.intercept)
+        if s.base:
+            comm_i = np.multiply(s.pos, float(fn.rate), out=s.line)
+            if c != 0.0:
+                comm_i += c
+        yield 1, n, comm_i, c
         return
     xs, ts = fn._xs, fn._ts
     last = len(xs) - 2
@@ -510,7 +585,7 @@ def _comm_pieces(
             continue
         slope = (ts[k + 1] - ts[k]) / (xs[k + 1] - xs[k])
         c = float(ts[k] - slope * xs[k])
-        line = np.multiply(s.d_float, float(slope), out=s.line)
+        line = np.multiply(s.pos, float(slope), out=s.line)
         if c != 0.0:
             line += c
         yield e_lo, e_hi, line, c
@@ -600,15 +675,20 @@ def _reconstruct_values(
     procs: Sequence[Processor],
     n: int,
     s: _RowScratch,
-) -> Tuple[int, ...]:
-    """Recover ``n_1 .. n_p`` from stored row *values* alone.
+    band: "_Band",
+) -> Tuple[Tuple[int, ...], int]:
+    """Recover ``n_1 .. n_p`` from stored row *values* alone; returns the
+    counts and the number of cost-row entries evaluated.
 
     The fast rows never materialize per-``d`` argmins; the single cell
     visited per processor on the reconstruction walk is re-argmin'ed
-    directly from that processor's cost rows over ``[0, d]`` — one
-    vectorized scan over ``e in [0, d]`` per processor, O(p·n) total.
+    directly from that processor's cost rows — one vectorized scan per
+    processor over the shares ``e`` that keep ``e <= cap_i`` and ``d - e``
+    in the next band (``[0, d]`` for whole rows, O(p·n) total); any other
+    share costs more than the band's ``T``.
     """
     counts = []
+    entries = 0
     d = n
     chunk = 1 << 16
     for i in range(len(procs) - 1):
@@ -616,7 +696,10 @@ def _reconstruct_values(
             counts.append(0)
             continue
         nxt = rows[i + 1]
-        comm_i, comp_i = s.cost_rows(procs[i], d)
+        e_lo = max(0, d - band.hi[i + 1])
+        e_hi = min(d - band.lo[i + 1], band.cap[i])
+        comm_i, comp_i = s.cost_rows(procs[i], e_hi)
+        entries += 2 * (e_hi + 1)
         # Chunked scan with exact early exit: every candidate satisfies
         # cand(e) >= comm_i[e] (the max term is non-negative and float
         # addition of a non-negative term never rounds below its other
@@ -624,11 +707,11 @@ def _reconstruct_values(
         # comm_i[start] >= best no later chunk can strictly beat ``best``,
         # and argmin's leftmost tie-break keeps the index already found.
         best = np.inf
-        e = 0
-        for start in range(0, d + 1, chunk):
+        e = e_lo
+        for start in range(e_lo, e_hi + 1, chunk):
             if comm_i[start] >= best:
                 break
-            stop = min(start + chunk, d + 1)
+            stop = min(start + chunk, e_hi + 1)
             cand = np.maximum(
                 comp_i[start:stop],
                 nxt[d - stop + 1 : d - start + 1][::-1],
@@ -643,7 +726,113 @@ def _reconstruct_values(
         counts.append(e)
         d -= e
     counts.append(d)  # the root takes whatever remains
-    return tuple(counts)
+    return tuple(counts), entries
+
+
+class _Band(NamedTuple):
+    """Per processor ``i``: the share cap and the suffix band ``[lo, hi]``."""
+
+    t: float  #: the makespan bound every cap and band derives from
+    cap: List[int]
+    lo: List[int]
+    hi: List[int]
+
+
+def _null_at_0_affine(fn: CostFunction) -> bool:
+    """A zero, linear or affine cost (exact types, as in ``_cost_row``) that
+    is null at 0: the costs the band applies to."""
+    if type(fn) is AffineCost:
+        return fn.zero_is_free or fn.intercept == 0
+    return type(fn) is ZeroCost or type(fn) is LinearCost
+
+
+def _feasible_plan(problem: ScatterProblem) -> Sequence[int]:
+    """One valid split of the n items in O(p): Theorem 1's equal-finish
+    shares, extended with intercepts.
+
+    When every processor works and all end together, ``P_i``'s computation
+    ends with ``P_{i+1}``'s: ``α_i·x_i + a_i = (α_{i+1} + β_{i+1})·x_{i+1}
+    + a_{i+1} + b_{i+1}`` (``a``, ``b`` the compute and link intercepts),
+    so every ``x_i`` is affine in ``x_0`` and ``Σ x_i = n`` fixes ``x_0``.
+    Negative shares are clamped to 0, the rest rescaled to sum to n and
+    rounded by largest remainder.  A free processor behind ``P_0``
+    (``α + β = 0``) falls back to the uniform split.  Only the band's
+    width depends on how good this plan is.
+    """
+    procs, n = problem.processors, problem.n
+    coef = [(1.0, 0.0)]  # x_i = slope·x_0 + icpt
+    for left, right in zip(procs, procs[1:]):
+        rate = float(right.comm.rate) + float(right.comp.rate)
+        if rate <= 0.0:
+            return problem.uniform_distribution()
+        alpha = float(left.comp.rate)
+        slope, icpt = coef[-1]
+        gap = float(left.comp.intercept) - float(right.comm.intercept + right.comp.intercept)
+        coef.append((alpha * slope / rate, (alpha * icpt + gap) / rate))
+    x0 = (n - math.fsum(q for _, q in coef)) / math.fsum(s for s, _ in coef)
+    shares = [max(0.0, s * x0 + q) for s, q in coef]
+    total = math.fsum(shares)
+    if not 0.0 < total < math.inf:
+        return problem.uniform_distribution()
+    shares = [x * n / total for x in shares]
+    counts = [int(x) for x in shares]
+    left_over = n - sum(counts)
+    if not 0 <= left_over <= len(counts):
+        return problem.uniform_distribution()
+    by_remainder = sorted(range(len(counts)), key=lambda i: counts[i] - shares[i])
+    for i in by_remainder[:left_over]:
+        counts[i] += 1
+    return counts
+
+
+def _share_cap(proc: Processor, t: float, n: int) -> int:
+    """``max{e in [0, n] : fl(Tcomm(e) + Tcomp(e)) <= t}`` by bisection.
+
+    Scalar calls of the affine classes are the same float expressions as
+    their cost rows (:func:`~repro.core.costs._cost_row`), and the sum is
+    non-decreasing in ``e``.
+    """
+
+    def cost(e: int) -> float:
+        return proc.comm(float(e)) + proc.comp(float(e))
+
+    if cost(n) <= t:
+        return n
+    ok, over = 0, n  # cost(0) = 0 <= t < cost(n)
+    while over - ok > 1:
+        mid = (ok + over) // 2
+        if cost(mid) <= t:
+            ok = mid
+        else:
+            over = mid
+    return ok
+
+
+def _band(problem: ScatterProblem) -> _Band:
+    """The caps and suffix bands of an affine, null-at-0 platform.
+
+    ``T`` is :func:`_feasible_plan`'s value under the DP's float recurrence
+    (``fl(Tcomm + max(Tcomp, rest))`` from the root forward), raised by
+    :data:`_BAND_MARGIN` and by the rounding allowance
+    ``64·(p + 1)·eps·(T + max Tcomm(n))`` that covers the window path's
+    shift identity (see the module docstring).  O(p log n).
+    """
+    procs, n, p = problem.processors, problem.n, problem.p
+    value = 0.0
+    for proc, x in zip(reversed(procs), reversed(_feasible_plan(problem))):
+        share = float(x)
+        value = proc.comm(share) + max(proc.comp(share), value)
+    l_max = max(proc.comm(float(n)) for proc in procs)
+    t = value + _BAND_MARGIN * value + 64 * (p + 1) * _EPS * (value + l_max)
+    cap = [_share_cap(proc, t, n) for proc in procs]
+    lo, hi = [], []
+    below, above = 0, sum(cap)
+    for c in cap:
+        lo.append(max(0, n - below))
+        hi.append(min(n, above))
+        below += c
+        above -= c
+    return _Band(t, cap, lo, hi)
 
 
 def solve_dp_fast(
@@ -665,6 +854,12 @@ def solve_dp_fast(
     the rows on the window path, ``info["rows_general_scan"]`` the
     scanned ones.  The returned makespan matches
     :func:`solve_dp_optimized` (counts may break cost ties differently).
+
+    A cold solve on a null-at-0 platform of affine, linear and zero costs
+    computes only the band of cells an optimal plan can reach (see the
+    module docstring), with the whole rows' counts and makespan bit for
+    bit; the profile's ``table_entries`` and ``row_bytes`` count the
+    cost-row entries it evaluated and the row cells it computed.
 
     Parameters
     ----------
@@ -705,36 +900,62 @@ def solve_dp_fast(
     rows: List[np.ndarray] = []  # filled back-to-front (root first)
     rows_affine = 0
     rows_general = 0
+    entries = 0  # cost-row entries evaluated
+    cells = 0  # row cells computed
 
     with prof.stage("dp_rows"):
+        whole = k0 or collect is not None or not all(
+            _null_at_0_affine(proc.comm) and _null_at_0_affine(proc.comp)
+            for proc in procs
+        )
+        band = _Band(math.inf, [n] * p, [0] * p, [n] * p) if whole else _band(problem)
+        lo, hi = band.lo, band.hi
         if k0:
             rows.extend(warm)
             prev = warm[-1]
         else:
-            comm_root, comp_root = s.cost_rows(procs[p - 1], n)
-            prev = np.add(comm_root, comp_root, out=rows_buf[0])
+            top = hi[p - 1]
+            comm_root, comp_root = s.cost_rows(procs[p - 1], top)
+            prev = rows_buf[0]
+            np.add(comm_root, comp_root, out=prev[: top + 1])
+            entries += 2 * (top + 1)
+            cells += top + 1
             rows.append(prev)
         for k, i in enumerate(range(p - 2 - max(k0 - 1, 0), -1, -1), start=max(k0, 1)):
-            comm_i, comp_i = s.cost_rows(procs[i], n)
+            # Row i covers the cells [base, top]; row i + 1 was computed
+            # over [.., hi[i + 1]], so its zero floor and sentinel go in
+            # first (neither is a cell of its band).
+            base, top, last = max(lo[i + 1] - 1, 0), hi[i], hi[i + 1]
+            if lo[i + 1]:
+                prev[base] = 0.0
+            if top > last:
+                prev[last + 1 : top + 1] = np.nextafter(max(band.t, prev[last]), np.inf)
+            m = top - base
+            vs = s.prefix(m, base)
+            prev_v = prev[base : top + 1]
+            comm_i, comp_i = vs.cost_rows(procs[i], m)
+            entries += 2 * (m + 1)
+            cells += m + 1
             pivots, maxm, j, degen = _pivot_staircase(
-                procs[i].comp, comp_i, prev, s
+                procs[i].comp, comp_i, prev_v, vs
             )
             comm = procs[i].comm
+            cur = rows_buf[k]
             if comm.is_affine or type(comm) is PiecewiseLinearCost:
                 rows_affine += 1
-                cur = _row_window_values(
-                    comm, comm_i, comp_i, prev, pivots, maxm, j, degen, s, rows_buf[k]
+                _row_window_values(
+                    comm, comm_i, comp_i, prev_v, pivots, maxm, j, degen, vs,
+                    cur[base : top + 1],
                 )
-            else:
+            else:  # whole rows only
                 rows_general += 1
-                rows_buf[k][:] = _row_general_values(comm_i, comp_i, prev, pivots)
-                cur = rows_buf[k]
+                cur[:] = _row_general_values(comm_i, comp_i, prev, pivots)
             rows.append(cur)
             prev = cur
 
     with prof.stage("reconstruct"):
         rows.reverse()  # rows[i] = DP values for the suffix starting at P_i
-        counts = _reconstruct_values(rows, procs, n, s)
+        counts, walked = _reconstruct_values(rows, procs, n, s, band)
     if collect is not None:
         # Promote the rows to owned, immutable state: buffer-backed rows
         # live in the thread-local workspace (overwritten by the next
@@ -746,10 +967,7 @@ def solve_dp_fast(
                 row.setflags(write=False)
             owned.append(row)
         collect["rows"] = owned
-    prof.note(
-        table_entries=2 * p * (n + 1),
-        row_bytes=sum(row.nbytes for row in rows),
-    )
+    prof.note(table_entries=entries + walked, row_bytes=cells * prev.itemsize)
     info = {"rows_affine": rows_affine, "rows_general_scan": rows_general}
     if k0:
         info["warm_rows"] = k0

@@ -668,8 +668,11 @@ class _Mode:
 
 def _differential_oracles() -> Tuple[str, ...]:
     """The registry minus the self-contained warm-vs-cold oracle, which the
-    differential modes would only repeat on its own schedule."""
-    return tuple(oid for oid in oracle_ids() if oid != "incremental-matches-cold")
+    differential modes would only repeat on its own schedule, and minus
+    ``exact-agree``, which finds no exact-DP result among their
+    ``cold``/``incremental`` and ``flat``/``tree`` keys."""
+    skip = ("incremental-matches-cold", "exact-agree")
+    return tuple(oid for oid in oracle_ids() if oid not in skip)
 
 
 #: The public fuzz modes (``repro-scatter verify --mode``).

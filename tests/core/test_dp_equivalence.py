@@ -16,6 +16,8 @@ from typing import Optional
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     AffineCost,
@@ -26,12 +28,14 @@ from repro.core import (
     ScatterProblem,
     TabulatedCost,
     ZeroCost,
+    apply_policy,
     plan_scatter,
     solve_dp_basic,
     solve_dp_fast,
     solve_dp_optimized,
 )
 from repro.core import dp_fast
+from repro.obs.profiler import set_profiling
 from repro.verify.references import solve_dp_basic_vectorized, solve_dp_monotone
 from repro.workloads import (
     random_affine_problem,
@@ -203,6 +207,154 @@ class TestPiecewiseWindowRows:
         solve_dp_fast(prob.with_n(250), collect=small)
         for row_big, row_small in zip(big["rows"], small["rows"]):
             assert np.array_equal(row_big[:251], row_small)
+
+
+#: Integers and half-integers are exact in binary, so every cost and sum
+#: built from them is exact too: equal candidates tie exactly.
+_HALVES = st.integers(0, 6).map(lambda k: k / 2)
+
+
+@st.composite
+def _band_cost(draw, link: bool):
+    """A zero, linear or null-at-0 affine cost, tie-heavy half of the time."""
+    kind = draw(st.sampled_from(["zero", "linear", "affine"]))
+    if kind == "zero":
+        return ZeroCost()
+    scale = 1e-4 if link else 1e-2
+    rate = draw(st.one_of(_HALVES, st.floats(1e-6, 1.0).map(lambda x: x * scale)))
+    if kind == "linear":
+        return LinearCost(rate)
+    intercept = draw(st.one_of(_HALVES, st.floats(1e-6, 1.0).map(lambda x: x * scale * 20)))
+    return AffineCost(rate, intercept)
+
+
+@st.composite
+def _band_problems(draw) -> ScatterProblem:
+    """Affine/linear/zero platforms, p in [1, 48], n in [0, 10⁵] (mostly
+    small, so whole-row solves stay cheap), with and without Theorem 3's
+    order; zero compute rates and zero links mid-chain come from the
+    cost draws."""
+    p = draw(st.integers(1, 48))
+    n = draw(st.one_of(st.integers(0, 300), st.integers(0, 100_000)))
+    procs = [
+        Processor(
+            f"P{i}",
+            ZeroCost() if i == p - 1 else draw(_band_cost(link=True)),
+            draw(_band_cost(link=False)),
+        )
+        for i in range(p)
+    ]
+    prob = ScatterProblem(procs, n)
+    return apply_policy(prob, "bandwidth-desc") if draw(st.booleans()) else prob
+
+
+def _assert_same_plan(banded, whole):
+    assert banded.counts == whole.counts
+    assert banded.makespan == whole.makespan  # the same float, not approx
+
+
+class TestBandedRows:
+    """A cold affine solve computes only its band, and plans stay the
+    whole rows' ones bit for bit (``collect`` keeps whole rows)."""
+
+    @given(_band_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_banded_equals_whole_rows(self, prob):
+        _assert_same_plan(solve_dp_fast(prob), solve_dp_fast(prob, collect={}))
+
+    @given(_band_problems())
+    @settings(max_examples=60, deadline=None)
+    def test_band_cells_at_most_t_are_bit_identical(self, prob):
+        """The invariant itself: each band cell whose whole-row value is at
+        most T is bit-identical, every other band cell is above T."""
+        with pytest.MonkeyPatch.context() as mp:
+            spy = _spy_on_band(mp)
+            solve_dp_fast(prob)
+        band, rows = spy["band"], spy["rows"]
+        whole: dict = {}
+        solve_dp_fast(prob, collect=whole)
+        for i, (row, full) in enumerate(zip(rows, whole["rows"])):
+            cells = slice(band.lo[i], band.hi[i] + 1)
+            inside = full[cells] <= band.t
+            assert np.array_equal(row[cells][inside], full[cells][inside]), i
+            assert (row[cells][~inside] > band.t).all(), i
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_exact_whatever_the_bound(self, seed, monkeypatch):
+        """A loose bound (the uniform split's makespan) widens the band
+        but cannot change a plan."""
+        rng = random.Random(seed)
+        gen = random_affine_problem if seed % 2 else random_linear_problem
+        prob = gen(rng, rng.randint(1, 24), rng.randint(0, 5_000))
+        if seed % 3 == 0:
+            prob = apply_policy(prob, "bandwidth-desc")
+        whole = solve_dp_fast(prob, collect={})
+        tight = dp_fast._band(prob)
+        monkeypatch.setattr(dp_fast, "_feasible_plan", lambda pr: pr.uniform_distribution())
+        assert dp_fast._band(prob).t >= tight.t
+        _assert_same_plan(solve_dp_fast(prob), whole)
+
+    def test_band_is_used(self):
+        """A silent fall back to whole rows fails here, not only in the
+        benchmark: the solve evaluates under a quarter of the whole
+        table's cost-row entries."""
+        prob = random_affine_problem(random.Random(3), 16, 200_000)
+        old = set_profiling(True)
+        try:
+            res = solve_dp_fast(prob)
+        finally:
+            set_profiling(old)
+        profile = res.info["profile"]
+        assert set(profile["stages_s"]) == {"dp_rows", "reconstruct"}
+        assert 0 < profile["table_entries"] < 2 * prob.p * (prob.n + 1) / 4
+        assert profile["row_bytes"] < prob.p * (prob.n + 1) * 8 / 4
+        assert res.info["rows_affine"] == prob.p - 1
+
+    @pytest.mark.parametrize(
+        "cost",
+        [
+            TabulatedCost([0.0, 0.5, 0.6, 1.0, 1.4, 2.0, 2.2, 3.0, 3.1, 4.0, 4.5]),
+            AffineCost(0.01, 0.3, zero_is_free=False),
+        ],
+    )
+    def test_other_costs_keep_whole_rows(self, cost):
+        """Tabulated and not-null-at-0 costs run the band [0, n]."""
+        procs = [
+            Processor("P0", LinearCost(0.001), cost),
+            Processor("root", ZeroCost(), LinearCost(0.05)),
+        ]
+        old = set_profiling(True)
+        try:
+            res = solve_dp_fast(ScatterProblem(procs, 10))
+        finally:
+            set_profiling(old)
+        assert res.info["profile"]["row_bytes"] == 2 * 11 * 8
+
+    @pytest.mark.slow
+    def test_first_cold_1e6_inputs_match_whole_rows(self):
+        """The benchmark's first three ``cold-1e6`` inputs (seed 1)."""
+        rng = random.Random("cold-1e6:1")
+        for _ in range(3):
+            res = plan_scatter(random_affine_problem(rng, 16, 1_000_000), algorithm="dp-fast")
+            _assert_same_plan(res, solve_dp_fast(res.problem, collect={}))
+
+
+def _spy_on_band(mp: pytest.MonkeyPatch) -> dict:
+    """Record the band and the rows a banded solve reconstructs from."""
+    spy: dict = {}
+    band, reconstruct = dp_fast._band, dp_fast._reconstruct_values
+
+    def spy_band(problem):
+        spy["band"] = band(problem)
+        return spy["band"]
+
+    def spy_reconstruct(rows, *args):
+        spy["rows"] = [row.copy() for row in rows]
+        return reconstruct(rows, *args)
+
+    mp.setattr(dp_fast, "_band", spy_band)
+    mp.setattr(dp_fast, "_reconstruct_values", spy_reconstruct)
+    return spy
 
 
 class TestCostTableCache:

@@ -79,6 +79,21 @@ class TestVerifyCli:
         assert doc["mutation"] is None
         assert doc["golden_drift"] == []
 
+    @pytest.mark.parametrize(
+        "mode, unit", [("incremental", "churn step(s)"), ("tree", "instance(s)")]
+    )
+    def test_coverage_counts_name_their_unit(self, mode, unit, capsys):
+        """A churn mode counts one check per churn step (the seed instance
+        plus its churn events), so its coverage lines say so."""
+        assert main(["verify", "--mode", mode, "--seeds", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith(f"fuzz[{mode}]: 3 instances")
+        checked = [line for line in lines if ": checked on " in line]
+        assert checked and all(line.endswith(f" {unit}") for line in checked)
+        dist = next(line for line in checked if "dist-valid" in line)
+        steps = 3 * 6 if mode == "incremental" else 3
+        assert dist == f"  dist-valid: checked on {steps} {unit}"
+
     def test_unknown_shape_is_usage_error(self, capsys):
         assert main(["verify", "--seeds", "2", "--shape", "cubist"]) == 2
         assert "unknown instance shape" in capsys.readouterr().err

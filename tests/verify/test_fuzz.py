@@ -108,6 +108,14 @@ class TestFuzzLoop:
         outcome = fuzz(3, mode=mode, only_oracles=["dist-valid"])
         assert set(outcome.stats.oracle_checked) == {"dist-valid"}
 
+    @pytest.mark.parametrize("mode", ["incremental", "tree"])
+    def test_exact_agree_only_where_exact_dps_run(self, mode):
+        """The differential modes key their results cold/incremental and
+        flat/tree, so exact-agree would compare nothing there."""
+        assert "exact-agree" not in MODES[mode].oracles()
+        assert "exact-agree" not in fuzz(3, mode=mode).stats.oracle_checked
+        assert fuzz(3).stats.oracle_checked["exact-agree"] == 3
+
 
 class TestRegisteredOracle:
     """An oracle registered after import runs in every mode."""
